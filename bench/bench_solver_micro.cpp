@@ -363,8 +363,8 @@ void kernel_jacobi_sweep(const mdp::CompiledModel& model,
   double span_min = std::numeric_limits<double>::infinity();
   double span_max = -std::numeric_limits<double>::infinity();
   mdp::kernel::rvi_sweep(model, rewards_data, kKernelTau, bias_in.data(), ref,
-                         nullptr, 0, n, bias_out.data(), nullptr, &span_min,
-                         &span_max, isa);
+                         0, n, bias_out.data(), nullptr, &span_min, &span_max,
+                         isa);
 }
 
 /// One benchmark row: a sweep variant, its best-of-reps time, and the bias

@@ -153,10 +153,10 @@ int main(int argc, char** argv) {
     if (batch.warm_start) {
       std::fprintf(stderr,
                    "[warm-start] setting %d: %zu/%zu cells seeded, "
-                   "~%lld inner sweeps saved vs same-batch cold mean\n",
+                   "~%lld inner rounds saved vs same-batch cold mean\n",
                    setting == bu::Setting::kNoStickyGate ? 1 : 2,
                    report.items_warm_started, report.items,
-                   static_cast<long long>(report.sweeps_saved_estimate));
+                   static_cast<long long>(report.rounds_saved_estimate));
     }
 
     std::size_t next_cell = 0;

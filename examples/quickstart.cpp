@@ -43,11 +43,12 @@ int main(int argc, char** argv) {
   std::printf("model: %s\n\n", model.model.summary().c_str());
 
   const bu::AnalysisResult result = bu::analyze(model);
-  std::printf("solve: %s in %.2fs (%d Dinkelbach iterations, %d sweeps)\n",
+  std::printf("solve: %s in %.2fs (%d Dinkelbach iterations, "
+              "%d policy-iteration rounds)\n",
               std::string(robust::to_string(result.status)).c_str(),
               result.diagnostics.elapsed_seconds,
               result.diagnostics.outer_iterations,
-              static_cast<int>(result.diagnostics.inner_sweeps));
+              static_cast<int>(result.diagnostics.inner_rounds));
   if (!robust::is_success(result.status)) {
     std::fprintf(stderr,
                  "WARNING: the solve did not converge (status: %s); the "

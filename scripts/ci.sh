@@ -52,7 +52,9 @@ ctest --test-dir "$repo/$build" --output-on-failure -L shard
 ctest --test-dir "$repo/$build" --output-on-failure -L sim
 
 # Kernel dispatch gate: the kernel-labeled suite (ISA equivalence, fused
-# sweep bit-identity, warm starts, NUMA smoke) must hold both with the
+# sweep bit-identity, warm starts, NUMA smoke, and
+# scripts/check_kernel_threads.sh's byte-identical Table 2 CSV across
+# --kernel x --threads with every inner solve certified) must hold both with the
 # vector kernels forced off and under auto dispatch. Vector-ISA cases
 # GTEST_SKIP on machines without AVX2/AVX-512, so both passes stay green
 # (not red) on any hardware; BVC_KERNEL=scalar additionally proves the

@@ -298,6 +298,7 @@ SmResult analyze_sm(const SmParams& params, bu::Utility utility,
 
 std::string sm_job_key(const SmJob& job) {
   std::string key = sm_model_cache_key(job.params, job.utility);
+  key += "|solver=pi-sparse";  // see bu::analysis_job_key
   mdp::append_key(key, "tol", job.tolerance);
   return key;
 }

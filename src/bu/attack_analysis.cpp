@@ -78,16 +78,16 @@ AnalysisResult analyze(const AttackParams& params, Utility utility,
 
 std::string analysis_job_key(const AnalysisJob& job,
                              const AnalysisOptions& options) {
-  // The model key covers (params, utility); the solver knobs below are the
-  // remaining inputs that shape the reported numbers. RunControl budgets are
-  // deliberately NOT part of the key: a cell that converged under one budget
-  // is the same result under any other.
+  // The model key covers (params, utility); the solver scheme and knobs
+  // below are the remaining inputs that shape the reported numbers. The
+  // scheme component keeps a journal written by a build with a different
+  // inner solver from ever being resumed into this one. RunControl budgets
+  // are deliberately NOT part of the key: a cell that converged under one
+  // budget is the same result under any other.
   std::string key = attack_model_cache_key(job.params, job.utility);
+  key += "|solver=pi-sparse";
   mdp::append_key(key, "tol", options.tolerance);
   mdp::append_key(key, "itol", options.inner.tolerance);
-  mdp::append_key(key, "isweeps",
-                  static_cast<std::int64_t>(options.inner.max_sweeps));
-  mdp::append_key(key, "itau", options.inner.aperiodicity_tau);
   return key;
 }
 
@@ -199,8 +199,8 @@ std::vector<AnalysisResult> analyze_batch(std::span<const AnalysisJob> jobs,
         results[i].status = status;
       });
   if (warm_pool) {
-    std::vector<std::pair<bool, std::int64_t>> sweep_obs;
-    sweep_obs.reserve(results.size());
+    std::vector<std::pair<bool, std::int64_t>> round_obs;
+    round_obs.reserve(results.size());
     for (const AnalysisResult& cell : results) {
       // inner_solves > 0 keeps journal-restored cells (whose diagnostics
       // are not persisted) out of the cold-mean baseline.
@@ -209,12 +209,12 @@ std::vector<AnalysisResult> analyze_batch(std::span<const AnalysisJob> jobs,
         if (cell.used_warm_start) {
           ++engine_report.items_warm_started;
         }
-        sweep_obs.emplace_back(cell.used_warm_start,
-                               cell.diagnostics.inner_sweeps);
+        round_obs.emplace_back(cell.used_warm_start,
+                               cell.diagnostics.inner_rounds);
       }
     }
-    engine_report.sweeps_saved_estimate =
-        mdp::estimate_sweeps_saved(sweep_obs);
+    engine_report.rounds_saved_estimate =
+        mdp::estimate_rounds_saved(round_obs);
   }
   if (report != nullptr) {
     *report = engine_report;

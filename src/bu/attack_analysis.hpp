@@ -18,11 +18,11 @@ struct AnalysisOptions {
   /// Accuracy of the reported utility value. The paper solves to 1e-4; we
   /// default one decade tighter.
   double tolerance = 1e-5;
+  /// Inner-solve knobs; only `tolerance` is read — the width every inner
+  /// policy evaluation's Odoni bracket must stay under.
   mdp::AverageRewardKnobs inner = [] {
     mdp::AverageRewardKnobs o;
     o.tolerance = 2e-7;
-    o.max_sweeps = 30000;
-    o.aperiodicity_tau = 0.999;
     return o;
   }();
   /// Wall-clock/iteration budget and cancellation for the whole analysis
@@ -114,7 +114,7 @@ struct AnalysisCheckpoint {
 /// nearest finished neighbor's bias (mdp::WarmStartPool); enumerate jobs so
 /// adjacent indices are adjacent grid cells to get the most out of it. The
 /// optional `report` out-param receives the engine's BatchReport including
-/// the warm-start counters (items_warm_started, sweeps_saved_estimate).
+/// the warm-start counters (items_warm_started, rounds_saved_estimate).
 [[nodiscard]] std::vector<AnalysisResult> analyze_batch(
     std::span<const AnalysisJob> jobs, const AnalysisOptions& options = {},
     const mdp::BatchConfig& batch = {},

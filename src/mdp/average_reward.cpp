@@ -18,9 +18,9 @@ namespace bvc::mdp {
 
 namespace {
 
-/// One relative-value-iteration core shared by the optimizing and the
-/// policy-evaluation entry points. When `policy` is non-null the maximization
-/// over actions is restricted to the policy's action.
+/// The relative-value-iteration core behind every maximize_average_reward
+/// overload. (Fixed-policy evaluation is exact and lives in
+/// policy_iteration.cpp.)
 ///
 /// The sweep runs on the CompiledModel SoA kernel layout: backups read the
 /// flat next/prob outcome columns through raw pointers (no per-access bounds
@@ -54,7 +54,7 @@ namespace {
 ///     scalar Jacobi path at any thread count — and, like it,
 ///     trajectory-different but fixed-point-equal to Gauss-Seidel.
 GainResult rvi_core(const CompiledModel& model,
-                    std::span<const double> sa_rewards, const Policy* policy,
+                    std::span<const double> sa_rewards,
                     const AverageRewardKnobs& options,
                     const std::vector<double>* warm_start_bias) {
   const StateId n = model.num_states();
@@ -64,10 +64,6 @@ GainResult rvi_core(const CompiledModel& model,
   BVC_REQUIRE(options.aperiodicity_tau > 0.0 &&
                   options.aperiodicity_tau <= 1.0,
               "aperiodicity tau must be in (0, 1]");
-  if (policy != nullptr) {
-    BVC_REQUIRE(policy->action.size() == n,
-                "policy must assign an action to every state");
-  }
 
   const double tau = options.aperiodicity_tau;
   // One span per RVI solve (not per sweep — a setting-2 solve runs tens of
@@ -75,7 +71,9 @@ GainResult rvi_core(const CompiledModel& model,
   // outcome land in the span args below and in the sweep counter.
   obs::Span solve_span("rvi.solve", "solver");
   solve_span.arg("states", static_cast<std::int64_t>(model.num_states()));
-  solve_span.arg("mode", policy != nullptr ? "evaluate" : "optimize");
+  // RVI only optimizes; the arg stays because trace readers
+  // (perfbench/tracefile.py) key their per-layer figures on it.
+  solve_span.arg("mode", "optimize");
   robust::RunGuard guard(options.control);
   GainResult result;
   if (warm_start_bias != nullptr && warm_start_bias->size() == n) {
@@ -123,14 +121,10 @@ GainResult rvi_core(const CompiledModel& model,
   const double* prob_col = model.prob();
   const auto backup = [&](StateId s, const std::vector<double>& bias_in)
       -> std::pair<double, std::uint32_t> {
-    const std::size_t first =
-        policy != nullptr ? policy->action[s] : std::size_t{0};
-    const std::size_t last =
-        policy != nullptr ? first + 1 : model.num_actions(s);
     const SaIndex sa_base = model.state_begin(s);
     double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = static_cast<std::uint32_t>(first);
-    for (std::size_t a = first; a < last; ++a) {
+    std::uint32_t best_action = 0;
+    for (std::size_t a = 0; a < model.num_actions(s); ++a) {
       const SaIndex sa = sa_base + a;
       double q = rewards_data[sa];
       double expected_next = 0.0;
@@ -155,14 +149,10 @@ GainResult rvi_core(const CompiledModel& model,
   const auto combine = [&](StateId s, const double* q_all,
                            const double* bias_in)
       -> std::pair<double, std::uint32_t> {
-    const std::size_t first =
-        policy != nullptr ? policy->action[s] : std::size_t{0};
-    const std::size_t last =
-        policy != nullptr ? first + 1 : model.num_actions(s);
     const SaIndex sa_base = model.state_begin(s);
     double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = static_cast<std::uint32_t>(first);
-    for (std::size_t a = first; a < last; ++a) {
+    std::uint32_t best_action = 0;
+    for (std::size_t a = 0; a < model.num_actions(s); ++a) {
       const SaIndex sa = sa_base + a;
       double q = rewards_data[sa];
       q = tau_eff * (q + q_all[sa]) + (1.0 - tau_eff) * bias_in[s];
@@ -231,15 +221,13 @@ GainResult rvi_core(const CompiledModel& model,
       // bits, so no ordering hazard exists.
       const double* current = kernel_bias.data();
       double* q_all = q_buf.data();
-      const std::uint32_t* restrict_policy =
-          policy != nullptr ? policy->action.data() : nullptr;
       kernel::backup_expected(model, nullptr, 1.0, current, 0,
                               model.state_begin(1), q_all, isa);
       const double reference_residual =
           combine(0, q_all, current).first - current[0];
       if (!parallel) {
         kernel::rvi_sweep(model, rewards_data, tau_eff, current,
-                          reference_residual, restrict_policy, 0, n,
+                          reference_residual, 0, n,
                           kernel_next.data(), result.policy.action.data(),
                           &span_min, &span_max, isa);
       } else {
@@ -249,7 +237,7 @@ GainResult rvi_core(const CompiledModel& model,
               double local_min = std::numeric_limits<double>::infinity();
               double local_max = -std::numeric_limits<double>::infinity();
               kernel::rvi_sweep(model, rewards_data, tau_eff, current,
-                                reference_residual, restrict_policy,
+                                reference_residual,
                                 static_cast<StateId>(begin),
                                 static_cast<StateId>(end),
                                 kernel_next.data(),
@@ -354,6 +342,11 @@ GainResult rvi_core(const CompiledModel& model,
         obs::MetricsRegistry::global().counter("mdp.rvi.sweeps");
     solves.add();
     sweeps.add(static_cast<std::uint64_t>(std::max(0, sweep)));
+    if (result.status == robust::RunStatus::kToleranceStalled) {
+      static obs::Counter& stalled =
+          obs::MetricsRegistry::global().counter("mdp.solve.stalled");
+      stalled.add();
+    }
   }
   return result;
 }
@@ -364,14 +357,14 @@ GainResult maximize_average_reward(const CompiledModel& model,
                                    std::span<const double> sa_rewards,
                                    const AverageRewardKnobs& options,
                                    const std::vector<double>* warm_start_bias) {
-  return rvi_core(model, sa_rewards, nullptr, options, warm_start_bias);
+  return rvi_core(model, sa_rewards, options, warm_start_bias);
 }
 
 GainResult maximize_average_reward(const Model& model,
                                    std::span<const double> sa_rewards,
                                    const AverageRewardKnobs& options,
                                    const std::vector<double>* warm_start_bias) {
-  return rvi_core(CompiledModel::compile(model), sa_rewards, nullptr, options,
+  return rvi_core(CompiledModel::compile(model), sa_rewards, options,
                   warm_start_bias);
 }
 
@@ -379,61 +372,12 @@ GainResult maximize_average_reward(const CompiledModel& model,
                                    const AverageRewardKnobs& options) {
   const std::span<const double> rewards{model.expected_reward(),
                                         model.num_state_actions()};
-  return rvi_core(model, rewards, nullptr, options, nullptr);
+  return rvi_core(model, rewards, options, nullptr);
 }
 
 GainResult maximize_average_reward(const Model& model,
                                    const AverageRewardKnobs& options) {
   return maximize_average_reward(CompiledModel::compile(model), options);
-}
-
-GainResult evaluate_policy_stream(const CompiledModel& model,
-                                  const Policy& policy,
-                                  std::span<const double> sa_rewards,
-                                  const AverageRewardKnobs& options,
-                                  const std::vector<double>* warm_start_bias) {
-  return rvi_core(model, sa_rewards, &policy, options, warm_start_bias);
-}
-
-GainResult evaluate_policy_stream(const Model& model, const Policy& policy,
-                                  std::span<const double> sa_rewards,
-                                  const AverageRewardKnobs& options,
-                                  const std::vector<double>* warm_start_bias) {
-  return rvi_core(CompiledModel::compile(model), sa_rewards, &policy, options,
-                  warm_start_bias);
-}
-
-PolicyGains evaluate_policy_average(const CompiledModel& model,
-                                    const Policy& policy,
-                                    const AverageRewardKnobs& options,
-                                    std::vector<double>* reward_bias,
-                                    std::vector<double>* weight_bias) {
-  const std::size_t actions = model.num_state_actions();
-  const std::span<const double> rewards{model.expected_reward(), actions};
-  const std::span<const double> weights{model.expected_weight(), actions};
-  GainResult reward_run =
-      rvi_core(model, rewards, &policy, options, reward_bias);
-  GainResult weight_run =
-      rvi_core(model, weights, &policy, options, weight_bias);
-  PolicyGains gains;
-  gains.reward_rate = reward_run.gain;
-  gains.weight_rate = weight_run.gain;
-  gains.status = std::max(reward_run.status, weight_run.status);
-  if (reward_bias != nullptr) {
-    *reward_bias = std::move(reward_run.bias);
-  }
-  if (weight_bias != nullptr) {
-    *weight_bias = std::move(weight_run.bias);
-  }
-  return gains;
-}
-
-PolicyGains evaluate_policy_average(const Model& model, const Policy& policy,
-                                    const AverageRewardKnobs& options,
-                                    std::vector<double>* reward_bias,
-                                    std::vector<double>* weight_bias) {
-  return evaluate_policy_average(CompiledModel::compile(model), policy,
-                                 options, reward_bias, weight_bias);
 }
 
 }  // namespace bvc::mdp

@@ -93,46 +93,4 @@ struct GainResult : SolveReport {
 [[nodiscard]] GainResult maximize_average_reward(
     const Model& model, const AverageRewardKnobs& options = {});
 
-/// Long-run rates of both reward streams under a fixed policy.
-struct PolicyGains {
-  double reward_rate = 0.0;  ///< numerator stream per step
-  double weight_rate = 0.0;  ///< denominator stream per step
-  /// Worst status of the two stream evaluations.
-  robust::RunStatus status = robust::RunStatus::kToleranceStalled;
-
-  [[nodiscard]] bool converged() const noexcept {
-    return robust::is_success(status);
-  }
-};
-
-/// Evaluates a fixed deterministic policy against an arbitrary per-(state,
-/// action) reward vector. Used by the ratio solver, which needs only the
-/// denominator stream's rate (the numerator follows from the gain identity
-/// num_rate = linearized_gain + rho * den_rate).
-[[nodiscard]] GainResult evaluate_policy_stream(
-    const CompiledModel& model, const Policy& policy,
-    std::span<const double> sa_rewards,
-    const AverageRewardKnobs& options = {},
-    const std::vector<double>* warm_start_bias = nullptr);
-[[nodiscard]] GainResult evaluate_policy_stream(
-    const Model& model, const Policy& policy,
-    std::span<const double> sa_rewards,
-    const AverageRewardKnobs& options = {},
-    const std::vector<double>* warm_start_bias = nullptr);
-
-/// Evaluates a fixed deterministic policy (both streams simultaneously).
-/// `reward_bias`/`weight_bias`, when non-null, are used as warm starts and
-/// overwritten with the converged bias vectors — this makes repeated
-/// evaluations of slowly-changing policies (Dinkelbach iterations) cheap.
-[[nodiscard]] PolicyGains evaluate_policy_average(
-    const CompiledModel& model, const Policy& policy,
-    const AverageRewardKnobs& options = {},
-    std::vector<double>* reward_bias = nullptr,
-    std::vector<double>* weight_bias = nullptr);
-[[nodiscard]] PolicyGains evaluate_policy_average(
-    const Model& model, const Policy& policy,
-    const AverageRewardKnobs& options = {},
-    std::vector<double>* reward_bias = nullptr,
-    std::vector<double>* weight_bias = nullptr);
-
 }  // namespace bvc::mdp

@@ -59,25 +59,25 @@ std::size_t WarmStartPool::size() const {
   return entries_.size();
 }
 
-std::int64_t estimate_sweeps_saved(
+std::int64_t estimate_rounds_saved(
     std::span<const std::pair<bool, std::int64_t>> items) noexcept {
-  std::int64_t cold_sweeps = 0;
+  std::int64_t cold_rounds = 0;
   std::int64_t cold_items = 0;
-  for (const auto& [warm, sweeps] : items) {
+  for (const auto& [warm, rounds] : items) {
     if (!warm) {
-      cold_sweeps += sweeps;
+      cold_rounds += rounds;
       ++cold_items;
     }
   }
   if (cold_items == 0) {
     return 0;
   }
-  const double mean_cold = static_cast<double>(cold_sweeps) /
+  const double mean_cold = static_cast<double>(cold_rounds) /
                            static_cast<double>(cold_items);
   double saved = 0.0;
-  for (const auto& [warm, sweeps] : items) {
+  for (const auto& [warm, rounds] : items) {
     if (warm) {
-      saved += std::max(0.0, mean_cold - static_cast<double>(sweeps));
+      saved += std::max(0.0, mean_cold - static_cast<double>(rounds));
     }
   }
   return static_cast<std::int64_t>(saved + 0.5);
@@ -319,18 +319,18 @@ RatioBatchResult solve_batch(std::span<const RatioJob> jobs,
         out.items[i].status = status;
       });
   if (warm_pool) {
-    std::vector<std::pair<bool, std::int64_t>> sweep_obs;
-    sweep_obs.reserve(out.items.size());
+    std::vector<std::pair<bool, std::int64_t>> round_obs;
+    round_obs.reserve(out.items.size());
     for (const RatioResult& item : out.items) {
       if (robust::is_success(item.status)) {
         if (item.used_warm_start) {
           ++out.report.items_warm_started;
         }
-        sweep_obs.emplace_back(item.used_warm_start,
-                               item.diagnostics.inner_sweeps);
+        round_obs.emplace_back(item.used_warm_start,
+                               item.diagnostics.inner_rounds);
       }
     }
-    out.report.sweeps_saved_estimate = estimate_sweeps_saved(sweep_obs);
+    out.report.rounds_saved_estimate = estimate_rounds_saved(round_obs);
     if (obs::metrics_enabled()) {
       static obs::Counter& warm_items = obs::MetricsRegistry::global().counter(
           "mdp.batch.items_warm_started");

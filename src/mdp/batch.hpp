@@ -73,12 +73,12 @@ struct BatchReport {
   std::size_t items_resumed = 0;    ///< restored from the journal, not run
   std::size_t items_excluded = 0;   ///< another shard's cells, not run
   /// Warm-start accounting (zero unless BatchConfig::warm_start). Counts
-  /// items whose solver actually consumed a neighbor's bias; the sweeps
-  /// estimate is Σ over warm items of (mean cold inner sweeps − that
-  /// item's inner sweeps), clamped per item at zero — an honest
+  /// items whose solver actually consumed a neighbor's bias; the rounds
+  /// estimate is Σ over warm items of (mean cold inner rounds − that
+  /// item's inner rounds), clamped per item at zero — an honest
   /// same-batch comparison, not a measurement against a separate cold run.
   std::size_t items_warm_started = 0;
-  std::int64_t sweeps_saved_estimate = 0;
+  std::int64_t rounds_saved_estimate = 0;
   double elapsed_seconds = 0.0;
 
   [[nodiscard]] bool all_converged() const noexcept {
@@ -145,11 +145,11 @@ class WarmStartPool {
   std::map<std::size_t, std::shared_ptr<const std::vector<double>>> entries_;
 };
 
-/// The BatchReport::sweeps_saved_estimate aggregation, shared by the batch
-/// wrappers: `items` holds (used_warm_start, inner_sweeps) per SUCCESSFUL
+/// The BatchReport::rounds_saved_estimate aggregation, shared by the batch
+/// wrappers: `items` holds (used_warm_start, inner_rounds) per SUCCESSFUL
 /// item. Returns Σ over warm items of max(0, mean cold sweeps − item
 /// sweeps), rounded; 0 when either group is empty.
-[[nodiscard]] std::int64_t estimate_sweeps_saved(
+[[nodiscard]] std::int64_t estimate_rounds_saved(
     std::span<const std::pair<bool, std::int64_t>> items) noexcept;
 
 /// One ratio-maximization work item. Exactly one of `model` / `compiled`

@@ -147,9 +147,8 @@ Isa calibrated_vector_isa() noexcept {
           for (int i = 0; i < 8; ++i) {
             double span_min = std::numeric_limits<double>::infinity();
             double span_max = -std::numeric_limits<double>::infinity();
-            rvi_sweep(compiled, rewards, 0.999, bias.data(), 0.0, nullptr, 0,
-                      kStates, next.data(), nullptr, &span_min, &span_max,
-                      isa);
+            rvi_sweep(compiled, rewards, 0.999, bias.data(), 0.0, 0, kStates,
+                      next.data(), nullptr, &span_min, &span_max, isa);
           }
           best = std::min(
               best, std::chrono::duration<double>(Clock::now() - start)
@@ -217,23 +216,18 @@ void backup_scalar(const CompiledModel& model, const double* seed,
 
 void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
                         double tau, const double* bias_in, const double* q_all,
-                        double reference_residual,
-                        const std::uint32_t* restrict_policy, StateId s_begin,
+                        double reference_residual, StateId s_begin,
                         StateId s_end, double* bias_out,
                         std::uint32_t* policy_out, double* span_min_io,
                         double* span_max_io) noexcept {
   double span_min = *span_min_io;
   double span_max = *span_max_io;
   for (StateId s = s_begin; s < s_end; ++s) {
-    const std::size_t first =
-        restrict_policy != nullptr ? restrict_policy[s] : std::size_t{0};
-    const std::size_t last =
-        restrict_policy != nullptr ? first + 1 : model.num_actions(s);
     const SaIndex sa_base = model.state_begin(s);
     const double damped = (1.0 - tau) * bias_in[s];
     double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = static_cast<std::uint32_t>(first);
-    for (std::size_t a = first; a < last; ++a) {
+    std::uint32_t best_action = 0;
+    for (std::size_t a = 0; a < model.num_actions(s); ++a) {
       const SaIndex sa = sa_base + a;
       // Separate roundings throughout (this TU disables FP contraction):
       // fl(fl(tau * fl(r + q)) + damped), the exact tree of the scalar
@@ -258,8 +252,7 @@ void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
 
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
-                      double reference_residual,
-                      const std::uint32_t* restrict_policy, StateId s_begin,
+                      double reference_residual, StateId s_begin,
                       StateId s_end, double* bias_out,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept {
@@ -268,15 +261,11 @@ void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
   double span_min = *span_min_io;
   double span_max = *span_max_io;
   for (StateId s = s_begin; s < s_end; ++s) {
-    const std::size_t first =
-        restrict_policy != nullptr ? restrict_policy[s] : std::size_t{0};
-    const std::size_t last =
-        restrict_policy != nullptr ? first + 1 : model.num_actions(s);
     const SaIndex sa_base = model.state_begin(s);
     const double damped = (1.0 - tau) * bias_in[s];
     double best = -std::numeric_limits<double>::infinity();
-    std::uint32_t best_action = static_cast<std::uint32_t>(first);
-    for (std::size_t a = first; a < last; ++a) {
+    std::uint32_t best_action = 0;
+    for (std::size_t a = 0; a < model.num_actions(s); ++a) {
       const SaIndex sa = sa_base + a;
       double expected_next = 0.0;
       const std::size_t end = model.outcome_end(sa);
@@ -326,14 +315,12 @@ void backup_expected(const CompiledModel& model, const double* seed,
 
 void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
                  const double* bias_in, const double* q_all,
-                 double reference_residual,
-                 const std::uint32_t* restrict_policy, StateId s_begin,
-                 StateId s_end, double* bias_out, std::uint32_t* policy_out,
+                 double reference_residual, StateId s_begin, StateId s_end,
+                 double* bias_out, std::uint32_t* policy_out,
                  double* span_min_io, double* span_max_io, Isa isa) noexcept {
   // The vector combines are fixed-width over a uniform 2-action menu (the
-  // attack models' shape); anything else — ragged menus, fixed-policy
-  // evaluation — takes the scalar loop.
-  if (restrict_policy == nullptr && model.uniform_actions() == 2) {
+  // attack models' shape); ragged menus take the scalar loop.
+  if (model.uniform_actions() == 2) {
     switch (isa) {
       case Isa::kAvx512:
         detail::rvi_combine_avx512(model, rewards, tau, bias_in, q_all,
@@ -351,20 +338,18 @@ void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
     }
   }
   detail::rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                             reference_residual, restrict_policy, s_begin,
-                             s_end, bias_out, policy_out, span_min_io,
-                             span_max_io);
+                             reference_residual, s_begin, s_end, bias_out,
+                             policy_out, span_min_io, span_max_io);
 }
 
 void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
                const double* bias_in, double reference_residual,
-               const std::uint32_t* restrict_policy, StateId s_begin,
-               StateId s_end, double* bias_out, std::uint32_t* policy_out,
-               double* span_min_io, double* span_max_io, Isa isa) noexcept {
+               StateId s_begin, StateId s_end, double* bias_out,
+               std::uint32_t* policy_out, double* span_min_io,
+               double* span_max_io, Isa isa) noexcept {
   // Same gate as rvi_combine, plus the ELL mirror the in-register backup
-  // needs: greedy pass over a uniform 2-action menu.
-  if (model.has_ell() && restrict_policy == nullptr &&
-      model.uniform_actions() == 2) {
+  // needs: a uniform 2-action menu.
+  if (model.has_ell() && model.uniform_actions() == 2) {
     switch (isa) {
       case Isa::kAvx512:
         detail::rvi_sweep_avx512(model, rewards, tau, bias_in,
@@ -381,8 +366,8 @@ void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
     }
   }
   detail::rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual,
-                           restrict_policy, s_begin, s_end, bias_out,
-                           policy_out, span_min_io, span_max_io);
+                           s_begin, s_end, bias_out, policy_out, span_min_io,
+                           span_max_io);
 }
 
 }  // namespace bvc::mdp::kernel

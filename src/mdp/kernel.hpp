@@ -104,18 +104,15 @@ void backup_expected(const CompiledModel& model, const double* seed,
 ///   policy_out[s] = argmax          (skipped when policy_out is null)
 ///   *span_min_io / *span_max_io accumulate fl(best - bias_in[s])
 ///
-/// `restrict_policy` non-null evaluates that fixed action per state instead
-/// of maximizing (the policy-evaluation mode). Every operation above is an
-/// elementwise add/mul/sub/min/max — no accumulation crosses states — so
-/// the vector path (taken when the model's action menu is uniform with 2
-/// actions, the shape of all the paper's attack models, and restrict_policy
-/// is null) is bit-identical to the scalar loop. Thread-safe for disjoint
-/// state ranges; span pointers must be distinct per caller/chunk.
+/// Every operation above is an elementwise add/mul/sub/min/max — no
+/// accumulation crosses states — so the vector path (taken when the model's
+/// action menu is uniform with 2 actions, the shape of all the paper's
+/// attack models) is bit-identical to the scalar loop. Thread-safe for
+/// disjoint state ranges; span pointers must be distinct per caller/chunk.
 void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
                  const double* bias_in, const double* q_all,
-                 double reference_residual,
-                 const std::uint32_t* restrict_policy, StateId s_begin,
-                 StateId s_end, double* bias_out, std::uint32_t* policy_out,
+                 double reference_residual, StateId s_begin, StateId s_end,
+                 double* bias_out, std::uint32_t* policy_out,
                  double* span_min_io, double* span_max_io, Isa isa) noexcept;
 
 /// The fused RVI Jacobi sweep over states [s_begin, s_end): backup_expected
@@ -128,14 +125,14 @@ void rvi_combine(const CompiledModel& model, const double* rewards, double tau,
 /// fast path: the sweep is single-core bandwidth-bound on real models, and
 /// eliminating the q column's store+reload (16 bytes per state-action per
 /// sweep) is worth more than any amount of instruction tuning. The vector
-/// path engages when the model has an ELL mirror, the pass is greedy
-/// (restrict_policy null), and the action menu is uniform with 2 actions;
-/// everything else runs the scalar loop. Thread-safe for disjoint state
-/// ranges; span pointers must be distinct per caller/chunk.
+/// path engages when the model has an ELL mirror and the action menu is
+/// uniform with 2 actions; everything else runs the scalar loop.
+/// Thread-safe for disjoint state ranges; span pointers must be distinct
+/// per caller/chunk.
 void rvi_sweep(const CompiledModel& model, const double* rewards, double tau,
                const double* bias_in, double reference_residual,
-               const std::uint32_t* restrict_policy, StateId s_begin,
-               StateId s_end, double* bias_out, std::uint32_t* policy_out,
+               StateId s_begin, StateId s_end, double* bias_out,
+               std::uint32_t* policy_out,
                double* span_min_io, double* span_max_io, Isa isa) noexcept;
 
 namespace detail {
@@ -154,13 +151,12 @@ void backup_avx512(const CompiledModel& model, const double* seed,
                    SaIndex sa_end, double* q_out) noexcept;
 void rvi_combine_scalar(const CompiledModel& model, const double* rewards,
                         double tau, const double* bias_in, const double* q_all,
-                        double reference_residual,
-                        const std::uint32_t* restrict_policy, StateId s_begin,
+                        double reference_residual, StateId s_begin,
                         StateId s_end, double* bias_out,
                         std::uint32_t* policy_out, double* span_min_io,
                         double* span_max_io) noexcept;
-// The vector combines handle only the greedy uniform-2-action shape (the
-// dispatcher routes everything else to scalar), hence no restrict_policy.
+// The vector combines handle only the uniform-2-action shape (the
+// dispatcher routes everything else to scalar).
 void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in, const double* q_all,
                       double reference_residual, StateId s_begin,
@@ -175,8 +171,7 @@ void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
                         double* span_max_io) noexcept;
 void rvi_sweep_scalar(const CompiledModel& model, const double* rewards,
                       double tau, const double* bias_in,
-                      double reference_residual,
-                      const std::uint32_t* restrict_policy, StateId s_begin,
+                      double reference_residual, StateId s_begin,
                       StateId s_end, double* bias_out,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept;

@@ -146,8 +146,8 @@ void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
   }
   if (s < s_end) {
     rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                       reference_residual, nullptr, s, s_end, bias_out,
-                       policy_out, span_min_io, span_max_io);
+                       reference_residual, s, s_end, bias_out, policy_out,
+                       span_min_io, span_max_io);
   }
 }
 
@@ -264,9 +264,8 @@ void rvi_sweep_avx2_impl(const CompiledModel& model, const double* rewards,
     *span_max_io = std::max(*span_max_io, lanes_max[lane]);
   }
   if (s < s_end) {
-    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual,
-                     nullptr, s, s_end, bias_out, policy_out, span_min_io,
-                     span_max_io);
+    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s,
+                     s_end, bias_out, policy_out, span_min_io, span_max_io);
   }
 }
 
@@ -327,8 +326,8 @@ void rvi_combine_avx2(const CompiledModel& model, const double* rewards,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept {
   rvi_combine_scalar(model, rewards, tau, bias_in, q_all, reference_residual,
-                     nullptr, s_begin, s_end, bias_out, policy_out,
-                     span_min_io, span_max_io);
+                     s_begin, s_end, bias_out, policy_out, span_min_io,
+                     span_max_io);
 }
 
 void rvi_sweep_avx2(const CompiledModel& model, const double* rewards,
@@ -336,9 +335,8 @@ void rvi_sweep_avx2(const CompiledModel& model, const double* rewards,
                     double reference_residual, StateId s_begin, StateId s_end,
                     double* bias_out, std::uint32_t* policy_out,
                     double* span_min_io, double* span_max_io) noexcept {
-  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, nullptr,
-                   s_begin, s_end, bias_out, policy_out, span_min_io,
-                   span_max_io);
+  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s_begin,
+                   s_end, bias_out, policy_out, span_min_io, span_max_io);
 }
 
 }  // namespace bvc::mdp::kernel::detail

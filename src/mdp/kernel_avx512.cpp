@@ -141,8 +141,8 @@ void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
   *span_max_io = std::max(*span_max_io, _mm512_reduce_max_pd(vmax));
   if (s < s_end) {
     rvi_combine_scalar(model, rewards, tau, bias_in, q_all,
-                       reference_residual, nullptr, s, s_end, bias_out,
-                       policy_out, span_min_io, span_max_io);
+                       reference_residual, s, s_end, bias_out, policy_out,
+                       span_min_io, span_max_io);
   }
 }
 
@@ -253,9 +253,8 @@ void rvi_sweep_avx512_impl(const CompiledModel& model, const double* rewards,
   *span_min_io = std::min(*span_min_io, _mm512_reduce_min_pd(vmin));
   *span_max_io = std::max(*span_max_io, _mm512_reduce_max_pd(vmax));
   if (s < s_end) {
-    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual,
-                     nullptr, s, s_end, bias_out, policy_out, span_min_io,
-                     span_max_io);
+    rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s,
+                     s_end, bias_out, policy_out, span_min_io, span_max_io);
   }
 }
 
@@ -317,8 +316,8 @@ void rvi_combine_avx512(const CompiledModel& model, const double* rewards,
                         std::uint32_t* policy_out, double* span_min_io,
                         double* span_max_io) noexcept {
   rvi_combine_scalar(model, rewards, tau, bias_in, q_all, reference_residual,
-                     nullptr, s_begin, s_end, bias_out, policy_out,
-                     span_min_io, span_max_io);
+                     s_begin, s_end, bias_out, policy_out, span_min_io,
+                     span_max_io);
 }
 
 void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
@@ -327,9 +326,8 @@ void rvi_sweep_avx512(const CompiledModel& model, const double* rewards,
                       StateId s_end, double* bias_out,
                       std::uint32_t* policy_out, double* span_min_io,
                       double* span_max_io) noexcept {
-  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, nullptr,
-                   s_begin, s_end, bias_out, policy_out, span_min_io,
-                   span_max_io);
+  rvi_sweep_scalar(model, rewards, tau, bias_in, reference_residual, s_begin,
+                   s_end, bias_out, policy_out, span_min_io, span_max_io);
 }
 
 }  // namespace bvc::mdp::kernel::detail

@@ -2,30 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "mdp/policy_iteration.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace bvc::mdp {
-
-namespace {
-
-/// Re-fills `scratch` in place with the expected linearized reward
-/// (num - rho * den) of every (state, action) pair, streaming the compiled
-/// model's contiguous expectation columns — the only per-iteration work a
-/// new rho costs; the model itself is never rebuilt.
-void linearize(const CompiledModel& model, double rho,
-               std::vector<double>& scratch) {
-  scratch.resize(model.num_state_actions());
-  const double* expected_reward = model.expected_reward();
-  const double* expected_weight = model.expected_weight();
-  for (SaIndex sa = 0; sa < scratch.size(); ++sa) {
-    scratch[sa] = expected_reward[sa] - rho * expected_weight[sa];
-  }
-}
-
-}  // namespace
 
 RatioResult maximize_ratio(const CompiledModel& model,
                            const RatioKnobs& options) {
@@ -33,8 +17,8 @@ RatioResult maximize_ratio(const CompiledModel& model,
   BVC_REQUIRE(options.upper_bound > options.lower_bound,
               "ratio bracket must be non-empty");
 
-  // Treat gains below this as "zero": the linearized problem is solved to
-  // options.inner.tolerance, so anything of that order is noise.
+  // Treat gains below this as "zero": the linearized problem is certified
+  // to options.inner.tolerance, so anything of that order is noise.
   const double gain_tol = std::max(10.0 * options.inner.tolerance, 1e-8);
 
   obs::Span solve_span("ratio.solve", "solver");
@@ -44,17 +28,19 @@ RatioResult maximize_ratio(const CompiledModel& model,
   double lo = options.lower_bound;  // ratio known to be achievable (or floor)
   double hi = options.upper_bound;  // ratio known to be unachievable (ceiling)
   double rho = lo;
-  std::vector<double> linearized;
-  std::vector<double> warm_bias;
+  const std::size_t actions = model.num_state_actions();
+  HowardSolver howard(model, {model.expected_reward(), actions},
+                      {model.expected_weight(), actions});
   if (options.warm_start_bias != nullptr &&
       options.warm_start_bias->size() == model.num_states()) {
-    warm_bias = *options.warm_start_bias;
+    howard.seed_greedy(*options.warm_start_bias, rho);
     result.used_warm_start = true;
   }
-  std::vector<double> eval_reward_bias;
-  std::vector<double> eval_weight_bias;
   bool policy_recorded = false;
   bool degenerate_seen = false;
+  // The status lattice: the outer status is never better than the worst
+  // inner solve, so a stalled inner solve cannot surface as "converged".
+  robust::RunStatus inner_worst = robust::RunStatus::kConverged;
   // The most recent inner policy: adopted as the best-effort answer when the
   // budget expires before any policy's true ratio could be certified.
   Policy last_inner_policy;
@@ -69,15 +55,21 @@ RatioResult maximize_ratio(const CompiledModel& model,
 
   // Inner solves share the outer cancel token and the *remaining* wall
   // clock, so the whole ratio solve honors one deadline.
-  const auto inner_options = [&] {
-    AverageRewardKnobs inner = options.inner;
+  const auto inner_knobs = [&] {
+    PolicyIterationKnobs inner;
+    inner.max_improvements = options.max_improvements;
+    inner.tolerance = options.inner.tolerance;
     inner.control.cancel = options.control.cancel;
     inner.control.budget = guard.remaining();
     return inner;
   };
-  const auto note_inner = [&](const GainResult& run) {
+  const auto note_inner = [&](PolicyIterationResult& run) {
     ++result.diagnostics.inner_solves;
-    result.diagnostics.inner_sweeps += run.sweeps();
+    result.diagnostics.inner_rounds += run.improvements();
+    result.diagnostics.krylov_iterations += run.krylov_iterations;
+    inner_worst = std::max(inner_worst, run.status);
+    last_inner_policy = run.policy;
+    result.final_bias = std::move(run.bias);
   };
   const auto note_outer = [&](double rho_now) {
     ++result.diagnostics.outer_iterations;
@@ -85,17 +77,20 @@ RatioResult maximize_ratio(const CompiledModel& model,
     result.diagnostics.residual_trajectory.push_back(hi - lo);
     obs::trace_instant("ratio.outer", "solver", "rho", rho_now);
   };
+  const auto stops_outer = [](robust::RunStatus status) {
+    return status == robust::RunStatus::kCancelled ||
+           status == robust::RunStatus::kBudgetExhausted ||
+           status == robust::RunStatus::kDegenerateModel;
+  };
 
   // Single exit point: fix up status, record timing, and make sure the
   // policy is usable (covers every state) even on early exits.
   const auto finalize = [&](robust::RunStatus status) -> RatioResult& {
-    if (!policy_recorded && !last_inner_policy.action.empty()) {
-      result.policy = last_inner_policy;
+    if (!policy_recorded) {
+      result.policy = last_inner_policy.action.empty() ? howard.policy()
+                                                        : last_inner_policy;
     }
-    // Export the last linearized bias for neighboring warm starts; single
-    // exit point, so warm_bias is dead after this.
-    result.final_bias = std::move(warm_bias);
-    result.status = status;
+    result.status = std::max(status, inner_worst);
     result.wall_clock_ns = guard.elapsed_ns();
     result.diagnostics.elapsed_seconds = guard.elapsed_seconds();
     // Span args mirror SolveDiagnostics so a trace alone explains the
@@ -105,10 +100,11 @@ RatioResult maximize_ratio(const CompiledModel& model,
                        result.diagnostics.outer_iterations));
     solve_span.arg("inner_solves",
                    static_cast<std::int64_t>(result.diagnostics.inner_solves));
-    solve_span.arg("inner_sweeps", result.diagnostics.inner_sweeps);
+    solve_span.arg("inner_rounds", result.diagnostics.inner_rounds);
+    solve_span.arg("krylov_iterations", result.diagnostics.krylov_iterations);
     solve_span.arg("bisection",
                    static_cast<std::int64_t>(result.used_bisection ? 1 : 0));
-    solve_span.arg("status", robust::to_string(status));
+    solve_span.arg("status", robust::to_string(result.status));
     if (obs::metrics_enabled()) {
       static obs::Counter& solves =
           obs::MetricsRegistry::global().counter("mdp.ratio.solves");
@@ -126,25 +122,31 @@ RatioResult maximize_ratio(const CompiledModel& model,
     return result;
   };
 
-  // Denominator-stream rewards, shared by all policy evaluations: a view
-  // straight into the compiled expectation column.
-  const std::span<const double> weight_rewards{model.expected_weight(),
-                                               model.num_state_actions()};
+  // Dinkelbach may start from any achievable ratio: when the start policy
+  // evaluates cleanly, its ratio replaces the floor. Its factorization is
+  // kept, so the first inner solve re-uses it rather than repeating it.
+  if (!options.control.cancel.cancel_requested()) {
+    const PolicyIterationResult start =
+        howard.evaluate(rho, options.inner.tolerance);
+    if (start.converged() && start.weight_rate > options.min_weight_rate &&
+        start.reward_rate / start.weight_rate > lo) {
+      lo = start.reward_rate / start.weight_rate;
+      rho = lo;
+      record_policy(start.policy, start.reward_rate, start.weight_rate);
+    }
+  }
 
   // --- Dinkelbach phase -------------------------------------------------
+  // Each inner solve is Howard policy iteration on num - rho * den, started
+  // from the previous optimum; its final evaluation carries both stream
+  // rates, so no separate evaluation is needed.
   for (; result.iterations < options.max_iterations; ++result.iterations) {
     if (const auto stop_status = guard.tick()) {
       return finalize(*stop_status);
     }
-    linearize(model, rho, linearized);
-    const GainResult run = maximize_average_reward(
-        model, linearized, inner_options(),
-        warm_bias.empty() ? nullptr : &warm_bias);
-    warm_bias = run.bias;
-    last_inner_policy = run.policy;
+    PolicyIterationResult run = howard.solve(rho, inner_knobs());
     note_inner(run);
-    if (run.status == robust::RunStatus::kCancelled ||
-        run.status == robust::RunStatus::kBudgetExhausted) {
+    if (stops_outer(run.status)) {
       note_outer(rho);
       return finalize(run.status);
     }
@@ -163,21 +165,8 @@ RatioResult maximize_ratio(const CompiledModel& model,
       break;  // degenerate/stalled: refine by bisection below
     }
 
-    // One policy evaluation (the denominator stream) suffices: the
-    // optimizer's gain is num_rate - rho * den_rate for its own policy, so
-    // num_rate = gain + rho * den_rate.
-    const GainResult weight_run = evaluate_policy_stream(
-        model, run.policy, weight_rewards, inner_options(),
-        eval_weight_bias.empty() ? nullptr : &eval_weight_bias);
-    eval_weight_bias = weight_run.bias;
-    note_inner(weight_run);
-    if (weight_run.status == robust::RunStatus::kCancelled ||
-        weight_run.status == robust::RunStatus::kBudgetExhausted) {
-      note_outer(rho);
-      return finalize(weight_run.status);
-    }
-    const double den_rate = weight_run.gain;
-    const double num_rate = run.gain + rho * den_rate;
+    const double den_rate = run.weight_rate;
+    const double num_rate = run.reward_rate;
     if (den_rate <= options.min_weight_rate) {
       // Positive linearized gain but no denominator mass. With our models
       // the numerator then must be (numerically) zero too; treat as a stall
@@ -214,30 +203,20 @@ RatioResult maximize_ratio(const CompiledModel& model,
     }
     ++result.iterations;
     const double mid = 0.5 * (lo + hi);
-    linearize(model, mid, linearized);
-    const GainResult run = maximize_average_reward(
-        model, linearized, inner_options(),
-        warm_bias.empty() ? nullptr : &warm_bias);
-    warm_bias = run.bias;
-    last_inner_policy = run.policy;
+    PolicyIterationResult run = howard.solve(mid, inner_knobs());
     note_inner(run);
-    if (run.status == robust::RunStatus::kCancelled ||
-        run.status == robust::RunStatus::kBudgetExhausted) {
+    if (stops_outer(run.status)) {
       result.ratio = lo;
       note_outer(mid);
       return finalize(run.status);
     }
     if (run.gain > gain_tol) {
-      // Some policy achieves a ratio above mid; try to extract it so the
-      // reported policy matches the reported ratio.
-      const PolicyGains gains =
-          evaluate_policy_average(model, run.policy, inner_options(),
-                                  &eval_reward_bias, &eval_weight_bias);
-      result.diagnostics.inner_solves += 2;
-      if (gains.weight_rate > options.min_weight_rate) {
-        const double achieved = gains.reward_rate / gains.weight_rate;
+      // Some policy achieves a ratio above mid; the solve's own evaluation
+      // gives its exact ratio, so the reported policy matches the ratio.
+      if (run.weight_rate > options.min_weight_rate) {
+        const double achieved = run.reward_rate / run.weight_rate;
         if (achieved > lo) {
-          record_policy(run.policy, gains.reward_rate, gains.weight_rate);
+          record_policy(run.policy, run.reward_rate, run.weight_rate);
         }
         lo = std::max(lo, std::max(mid, achieved));
       } else {
@@ -271,7 +250,8 @@ RatioResult maximize_ratio_with_retry(const CompiledModel& model,
   RatioKnobs attempt = options;
   RatioResult best = maximize_ratio(model, attempt);
   int inner_solves = best.diagnostics.inner_solves;
-  std::int64_t inner_sweeps = best.diagnostics.inner_sweeps;
+  std::int64_t inner_rounds = best.diagnostics.inner_rounds;
+  std::int64_t krylov_iterations = best.diagnostics.krylov_iterations;
   int outer_iterations = best.diagnostics.outer_iterations;
 
   int retries = 0;
@@ -294,7 +274,8 @@ RatioResult maximize_ratio_with_retry(const CompiledModel& model,
 
     RatioResult next = maximize_ratio(model, attempt);
     inner_solves += next.diagnostics.inner_solves;
-    inner_sweeps += next.diagnostics.inner_sweeps;
+    inner_rounds += next.diagnostics.inner_rounds;
+    krylov_iterations += next.diagnostics.krylov_iterations;
     outer_iterations += next.diagnostics.outer_iterations;
     // Keep the better outcome: a converged solve always wins; otherwise the
     // higher certified ratio does.
@@ -310,7 +291,8 @@ RatioResult maximize_ratio_with_retry(const CompiledModel& model,
   }
   best.diagnostics.retries = retries;
   best.diagnostics.inner_solves = inner_solves;
-  best.diagnostics.inner_sweeps = inner_sweeps;
+  best.diagnostics.inner_rounds = inner_rounds;
+  best.diagnostics.krylov_iterations = krylov_iterations;
   best.diagnostics.outer_iterations = outer_iterations;
   best.diagnostics.elapsed_seconds = guard.elapsed_seconds();
   best.wall_clock_ns = guard.elapsed_ns();

@@ -10,6 +10,9 @@
 // with zero denominator rate (e.g. "wait forever") is optimal at the current
 // rho. Both converge because  g(rho) = max_pi (num_rate - rho * den_rate)
 // is convex, non-increasing, and g(rho*) = 0 at the optimal ratio rho*.
+// Each linearized maximization is Howard policy iteration over the exact
+// sparse evaluator (policy_iteration.hpp), warm-started from the previous
+// iteration's policy; its certified evaluation yields both stream rates.
 #pragma once
 
 #include "mdp/average_reward.hpp"
@@ -21,12 +24,17 @@
 namespace bvc::mdp {
 
 /// The ratio-solver knob block (outer Dinkelbach/bisection loop plus the
-/// nested inner-RVI knobs). Not a front door: callers configure solves
+/// nested inner-solve knobs). Not a front door: callers configure solves
 /// through mdp::SolverConfig (solver_config.hpp), which lowers to this
 /// shape via SolverConfig::ratio_options(). The pre-SolverConfig name
 /// RatioOptions survives only as a [[deprecated]] alias there.
 struct RatioKnobs {
+  /// Inner-solve knobs. Only `tolerance` is read: every inner policy
+  /// evaluation must be certified to an Odoni bracket narrower than it.
   AverageRewardKnobs inner;
+  /// Cap on Howard rounds per inner solve; hitting it makes the inner solve,
+  /// and therefore the ratio, at best kToleranceStalled.
+  int max_improvements = 1000;
   /// Convergence tolerance on the ratio value.
   double tolerance = 1e-6;
   int max_iterations = 200;
@@ -44,18 +52,20 @@ struct RatioKnobs {
   /// exhaustion the best policy found so far is returned.
   robust::RunControl control;
   /// Optional cross-solve warm start: when non-null and sized
-  /// num_states(), seeds the FIRST inner linearized solve's bias (later
-  /// inner solves already chain off each other within the solve). The
-  /// vector is borrowed for the duration of the call, not owned. A
-  /// mismatched size is silently ignored — a neighbor cell with a
+  /// num_states(), the first inner solve starts from the greedy policy of
+  /// this bias (later inner solves already chain off each other within the
+  /// solve). The vector is borrowed for the duration of the call, not
+  /// owned. A mismatched size is silently ignored — a neighbor cell with a
   /// different model shape simply cannot seed this one. Warm starts never
-  /// move the fixed point (RVI converges to the same bias span from any
-  /// seed); they only shorten the trajectory.
+  /// move the optimum (policy iteration reaches an optimal policy from any
+  /// start); they only change the path to it.
   const std::vector<double>* warm_start_bias = nullptr;
 };
 
 /// `iterations` (on the base report) counts linearized solves performed;
-/// converged() replaces the old redundant `converged` field.
+/// converged() replaces the old redundant `converged` field. `status` is
+/// the worst of the outer loop's own status and every inner solve's, so a
+/// ratio is kConverged only when each inner evaluation was certified.
 struct RatioResult : SolveReport {
   double ratio = 0.0;     ///< best achieved num/den rate
   Policy policy;          ///< a policy achieving `ratio` (up to tolerance)
@@ -67,14 +77,14 @@ struct RatioResult : SolveReport {
   bool used_warm_start = false;
   /// Bias of the last linearized inner solve — the natural seed for a
   /// neighboring cell's warm start (batch.hpp WarmStartPool). Empty only
-  /// when the solve was stopped before any inner solve finished.
+  /// when the solve was stopped before any inner solve evaluated a policy.
   std::vector<double> final_bias;
 };
 
 /// The CompiledModel overload is the real solver: every Dinkelbach /
-/// bisection iteration re-linearizes the reward stream in place on the
-/// compiled expected-value arrays and sweeps the SoA kernel, so nothing is
-/// rebuilt between iterations. The Model overload compiles once on entry
+/// bisection iteration re-linearizes the compiled expected-value columns
+/// and re-uses one policy-iteration workspace, so nothing is rebuilt
+/// between iterations. The Model overload compiles once on entry
 /// (all inner solves share that one compilation) and is bit-identical.
 [[nodiscard]] RatioResult maximize_ratio(const CompiledModel& model,
                                          const RatioKnobs& options);

@@ -22,7 +22,7 @@ PolicyIterationKnobs SolverConfig::policy_iteration_options() const {
   PolicyIterationKnobs options;
   options.max_improvements = policy_iteration.max_improvements;
   options.improvement_tolerance = policy_iteration.improvement_tolerance;
-  options.max_states = policy_iteration.max_states;
+  options.tolerance = average_reward.tolerance;
   options.control = control;
   return options;
 }
@@ -40,6 +40,7 @@ RatioKnobs SolverConfig::ratio_options() const {
   options.lower_bound = ratio.lower_bound;
   options.upper_bound = ratio.upper_bound;
   options.min_weight_rate = ratio.min_weight_rate;
+  options.max_improvements = policy_iteration.max_improvements;
   options.control = control;
   options.warm_start_bias = warm_start_bias;
   return options;
@@ -130,56 +131,30 @@ PolicyIterationResult policy_iteration(const CompiledModel& model,
 
 GainResult evaluate_policy_stream(const Model& model, const Policy& policy,
                                   std::span<const double> sa_rewards,
-                                  const SolverConfig& config,
-                                  const std::vector<double>* warm_start_bias) {
+                                  const SolverConfig& config) {
   return evaluate_policy_stream(model, policy, sa_rewards,
-                                config.average_reward_options(),
-                                warm_start_bias);
+                                config.average_reward_options());
 }
 
 GainResult evaluate_policy_stream(const CompiledModel& model,
                                   const Policy& policy,
                                   std::span<const double> sa_rewards,
-                                  const SolverConfig& config,
-                                  const std::vector<double>* warm_start_bias) {
+                                  const SolverConfig& config) {
   return evaluate_policy_stream(model, policy, sa_rewards,
-                                config.average_reward_options(),
-                                warm_start_bias);
+                                config.average_reward_options());
 }
 
 PolicyGains evaluate_policy_average(const Model& model, const Policy& policy,
-                                    const SolverConfig& config,
-                                    std::vector<double>* reward_bias,
-                                    std::vector<double>* weight_bias) {
+                                    const SolverConfig& config) {
   return evaluate_policy_average(model, policy,
-                                 config.average_reward_options(), reward_bias,
-                                 weight_bias);
+                                 config.average_reward_options());
 }
 
 PolicyGains evaluate_policy_average(const CompiledModel& model,
                                     const Policy& policy,
-                                    const SolverConfig& config,
-                                    std::vector<double>* reward_bias,
-                                    std::vector<double>* weight_bias) {
+                                    const SolverConfig& config) {
   return evaluate_policy_average(model, policy,
-                                 config.average_reward_options(), reward_bias,
-                                 weight_bias);
-}
-
-PolicyIterationResult evaluate_policy_exact(const Model& model,
-                                            const Policy& policy,
-                                            std::span<const double> sa_rewards,
-                                            const SolverConfig& config) {
-  return evaluate_policy_exact(model, policy, sa_rewards,
-                               config.policy_iteration_options());
-}
-
-PolicyIterationResult evaluate_policy_exact(const CompiledModel& model,
-                                            const Policy& policy,
-                                            std::span<const double> sa_rewards,
-                                            const SolverConfig& config) {
-  return evaluate_policy_exact(model, policy, sa_rewards,
-                               config.policy_iteration_options());
+                                 config.average_reward_options());
 }
 
 }  // namespace bvc::mdp

@@ -35,11 +35,13 @@
 namespace bvc::mdp {
 
 struct SolverConfig {
-  /// Inner relative-value-iteration knobs (tolerance, sweep cap,
-  /// aperiodicity damping). Its nested `control` and `threads` fields are
-  /// overwritten by the top-level `control`/`threads` below whenever the
-  /// config is lowered to per-solver knobs — set them here only if you
-  /// bypass SolverConfig entirely.
+  /// Relative-value-iteration knobs (tolerance, sweep cap, aperiodicity
+  /// damping). Its tolerance is also the certificate tolerance of every
+  /// policy evaluation: the ratio solver's inner solves, policy_iteration
+  /// and the fixed-policy evaluators. Its nested `control` and `threads`
+  /// fields are overwritten by the top-level `control`/`threads` below
+  /// whenever the config is lowered to per-solver knobs — set them here
+  /// only if you bypass SolverConfig entirely.
   AverageRewardKnobs average_reward;
 
   /// Ratio (Dinkelbach + bisection) outer-loop extras; see RatioKnobs
@@ -60,10 +62,10 @@ struct SolverConfig {
   } discounted;
 
   /// Howard policy-iteration extras; see PolicyIterationKnobs.
+  /// Also caps the Howard rounds of each inner solve of the ratio solver.
   struct PolicyIterationExtras {
     int max_improvements = 1000;
     double improvement_tolerance = 1e-10;
-    StateId max_states = 5000;
   } policy_iteration;
 
   /// One wall-clock/iteration budget plus cancellation for whichever
@@ -79,8 +81,9 @@ struct SolverConfig {
   int threads = 1;
 
   /// Optional warm-start bias for a ratio solve (RatioKnobs field of the
-  /// same name): borrowed, seeds the first inner linearized solve when its
-  /// size matches the model's state count, silently ignored otherwise.
+  /// same name): borrowed, the first inner solve starts from its greedy
+  /// policy when its size matches the model's state count; silently
+  /// ignored otherwise.
   /// Populated by the batch layer's cross-cell warm starts
   /// (BatchConfig::warm_start); ignored by the non-ratio solvers, which
   /// take their warm start as an explicit argument.
@@ -142,32 +145,22 @@ struct SolverConfig {
     const robust::RetryPolicy& retry = {});
 
 // Fixed-policy evaluators behind the same front door (their knob-block
-// overloads remain in the solver headers for the solvers' internal use).
+// overloads remain in policy_iteration.hpp for the solvers' internal use).
+// Only average_reward.tolerance is read: the certificate tolerance.
 
 [[nodiscard]] GainResult evaluate_policy_stream(
     const Model& model, const Policy& policy,
-    std::span<const double> sa_rewards, const SolverConfig& config,
-    const std::vector<double>* warm_start_bias = nullptr);
+    std::span<const double> sa_rewards, const SolverConfig& config);
 [[nodiscard]] GainResult evaluate_policy_stream(
     const CompiledModel& model, const Policy& policy,
-    std::span<const double> sa_rewards, const SolverConfig& config,
-    const std::vector<double>* warm_start_bias = nullptr);
-
-[[nodiscard]] PolicyGains evaluate_policy_average(
-    const Model& model, const Policy& policy, const SolverConfig& config,
-    std::vector<double>* reward_bias = nullptr,
-    std::vector<double>* weight_bias = nullptr);
-[[nodiscard]] PolicyGains evaluate_policy_average(
-    const CompiledModel& model, const Policy& policy,
-    const SolverConfig& config, std::vector<double>* reward_bias = nullptr,
-    std::vector<double>* weight_bias = nullptr);
-
-[[nodiscard]] PolicyIterationResult evaluate_policy_exact(
-    const Model& model, const Policy& policy,
     std::span<const double> sa_rewards, const SolverConfig& config);
-[[nodiscard]] PolicyIterationResult evaluate_policy_exact(
-    const CompiledModel& model, const Policy& policy,
-    std::span<const double> sa_rewards, const SolverConfig& config);
+
+[[nodiscard]] PolicyGains evaluate_policy_average(const Model& model,
+                                                  const Policy& policy,
+                                                  const SolverConfig& config);
+[[nodiscard]] PolicyGains evaluate_policy_average(const CompiledModel& model,
+                                                  const Policy& policy,
+                                                  const SolverConfig& config);
 
 // Deprecated names of the retired per-solver option structs. They exist so
 // out-of-tree callers keep compiling (with a warning); every in-repo caller

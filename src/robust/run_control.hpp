@@ -173,8 +173,9 @@ class RunGuard {
 struct SolveDiagnostics {
   double elapsed_seconds = 0.0;
   int outer_iterations = 0;   ///< e.g. Dinkelbach + bisection steps
-  int inner_solves = 0;       ///< nested average-reward solves performed
-  std::int64_t inner_sweeps = 0;  ///< total RVI sweeps across inner solves
+  int inner_solves = 0;       ///< nested policy-iteration solves performed
+  std::int64_t inner_rounds = 0;  ///< Howard rounds across inner solves
+  std::int64_t krylov_iterations = 0;  ///< BiCGSTAB iterations across them
   int retries = 0;            ///< escalation attempts beyond the first
   /// Ratio estimate after each outer iteration (Dinkelbach rho updates,
   /// then bisection midpoints).

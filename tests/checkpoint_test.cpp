@@ -18,6 +18,7 @@
 #include "btc/selfish_mining.hpp"
 #include "counter/voting_simulation.hpp"
 #include "mdp/batch.hpp"
+#include "mdp/model_cache.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/retry.hpp"
 #include "robust/run_control.hpp"
@@ -677,6 +678,50 @@ TEST(DomainCheckpoint, JobKeysSeparateDistinctCells) {
   counter::VotingJob vote_c = vote_a;
   vote_c.config.cohorts[0].adversarial = true;
   EXPECT_NE(counter::voting_job_key(vote_a), counter::voting_job_key(vote_c));
+}
+
+TEST(DomainCheckpoint, OtherSolverSchemeJournalForcesAResolve) {
+  // The key a relative-value-iteration build journaled cells under: no
+  // solver scheme, plus its sweep knobs. A record stored under it must
+  // never be resumed into a policy-iteration run; the cell is re-solved.
+  bu::AnalysisJob job;
+  job.params.alpha = 0.25;
+  job.params.beta = 0.375;
+  job.params.gamma = 0.375;
+  job.params.ad = 4;
+  const bu::AnalysisOptions options;
+  std::string rvi_key = bu::attack_model_cache_key(job.params, job.utility);
+  mdp::append_key(rvi_key, "tol", options.tolerance);
+  mdp::append_key(rvi_key, "itol", options.inner.tolerance);
+  mdp::append_key(rvi_key, "isweeps", std::int64_t{30000});
+  mdp::append_key(rvi_key, "itau", 0.999);
+  const std::string key = bu::analysis_job_key(job, options);
+  ASSERT_NE(rvi_key, key);
+  EXPECT_NE(key.find("solver=pi-sparse"), std::string::npos);
+
+  const std::string path = temp_path("other_scheme.jsonl");
+  {
+    CheckpointJournal journal(path);
+    journal.load();
+    bu::AnalysisResult stale;
+    stale.status = RunStatus::kConverged;
+    stale.utility_value = 0.99;
+    stale.honest_baseline = 0.25;
+    journal.append(bu::analysis_record(rvi_key, stale, false));
+  }
+  CheckpointJournal journal(path);
+  ASSERT_EQ(journal.load(), 1u);
+  bu::AnalysisCheckpoint checkpoint;
+  checkpoint.journal = &journal;
+  const std::vector<bu::AnalysisResult> results =
+      bu::analyze_batch({&job, 1}, options, {}, checkpoint);
+  EXPECT_EQ(journal.appended(), 1u);  // solved, journaled under the new key
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].converged());
+  EXPECT_GT(results[0].diagnostics.inner_solves, 0);
+  EXPECT_EQ(results[0].utility_value,
+            bu::analyze(job.params, job.utility, options).utility_value);
+  EXPECT_TRUE(journal.contains(key));
 }
 
 TEST(DomainCheckpoint, VotingBatchResumesBitIdentically) {

@@ -105,7 +105,7 @@ TEST(SolveDiagnostics, ResidualsMonotoneNonIncreasingUnderBisection) {
   // The certified policy is the non-degenerate action found before the
   // stall; diagnostics must count the inner work both phases performed.
   EXPECT_GT(result.diagnostics.inner_solves, 2);
-  EXPECT_GT(result.diagnostics.inner_sweeps, 0);
+  EXPECT_GT(result.diagnostics.inner_rounds, 0);
 }
 
 TEST(SolveDiagnostics, RetryPathAccumulatesAcrossAttempts) {

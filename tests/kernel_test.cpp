@@ -300,10 +300,10 @@ void expect_rvi_sweep_equivalence(const mdp::CompiledModel& compiled,
   std::vector<std::uint32_t> pol_vector(n, 88u);
   double min_scalar = inf, max_scalar = -inf;
   double min_vector = inf, max_vector = -inf;
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr, 0,
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0,
                          n, out_scalar.data(), pol_scalar.data(), &min_scalar,
                          &max_scalar, Isa::kScalar);
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr, 0,
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0,
                          n, out_vector.data(), pol_vector.data(), &min_vector,
                          &max_vector, isa);
   for (mdp::StateId s = 0; s < n; ++s) {
@@ -319,10 +319,10 @@ void expect_rvi_sweep_equivalence(const mdp::CompiledModel& compiled,
   std::vector<std::uint32_t> pol_split(n, 77u);
   const mdp::StateId cut = n / 3 + 1;
   double min_a = inf, max_a = -inf, min_b = inf, max_b = -inf;
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr, 0,
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, 0,
                          cut, out_split.data(), pol_split.data(), &min_a,
                          &max_a, isa);
-  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr,
+  mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref,
                          cut, n, out_split.data(), pol_split.data(), &min_b,
                          &max_b, isa);
   for (mdp::StateId s = 0; s < n; ++s) {
@@ -402,7 +402,7 @@ TEST(Kernel, RviSweepMatchesBackupCombineComposition) {
   std::vector<std::uint32_t> pol_split(n);
   double min_split = inf, max_split = -inf;
   mdp::kernel::rvi_combine(compiled, rewards, tau, bias.data(), q_all.data(),
-                           ref, nullptr, 0, n, out_split.data(),
+                           ref, 0, n, out_split.data(),
                            pol_split.data(), &min_split, &max_split,
                            Isa::kScalar);
 
@@ -413,7 +413,7 @@ TEST(Kernel, RviSweepMatchesBackupCombineComposition) {
     std::vector<double> out_fused(n, -4.0);
     std::vector<std::uint32_t> pol_fused(n, 55u);
     double min_fused = inf, max_fused = -inf;
-    mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref, nullptr,
+    mdp::kernel::rvi_sweep(compiled, rewards, tau, bias.data(), ref,
                            0, n, out_fused.data(), pol_fused.data(),
                            &min_fused, &max_fused, isa);
     for (mdp::StateId s = 0; s < n; ++s) {
@@ -425,54 +425,6 @@ TEST(Kernel, RviSweepMatchesBackupCombineComposition) {
     EXPECT_EQ(min_split, min_fused) << mdp::kernel::to_string(isa);
     EXPECT_EQ(max_split, max_fused) << mdp::kernel::to_string(isa);
   }
-}
-
-TEST(Kernel, RviSweepRestrictPolicyEvaluatesFixedActions) {
-  // restrict_policy pins each state to one action (policy evaluation).
-  // Vector requests take the scalar path (the gate requires greedy), and
-  // the pinned action is echoed in policy_out.
-  const mdp::CompiledModel compiled =
-      mdp::CompiledModel::compile(uniform_two_action_model(45));
-  const mdp::StateId n = static_cast<mdp::StateId>(compiled.num_states());
-  const std::vector<double> bias = ramp_bias(compiled.num_states());
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<std::uint32_t> restrict_policy(n);
-  for (mdp::StateId s = 0; s < n; ++s) {
-    restrict_policy[s] = s % 2;
-  }
-
-  std::vector<double> out_scalar(n), out_vector(n);
-  std::vector<std::uint32_t> pol_scalar(n), pol_vector(n);
-  double min_s = inf, max_s = -inf, min_v = inf, max_v = -inf;
-  mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
-                         bias.data(), 0.0, restrict_policy.data(), 0, n,
-                         out_scalar.data(), pol_scalar.data(), &min_s, &max_s,
-                         Isa::kScalar);
-  const Isa best = mdp::kernel::resolve(Request::kAuto);
-  mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
-                         bias.data(), 0.0, restrict_policy.data(), 0, n,
-                         out_vector.data(), pol_vector.data(), &min_v, &max_v,
-                         best);
-  for (mdp::StateId s = 0; s < n; ++s) {
-    EXPECT_EQ(pol_scalar[s], restrict_policy[s]) << "state=" << s;
-    EXPECT_EQ(out_scalar[s], out_vector[s]) << "state=" << s;
-    EXPECT_EQ(pol_scalar[s], pol_vector[s]) << "state=" << s;
-  }
-  EXPECT_EQ(min_s, min_v);
-  EXPECT_EQ(max_s, max_v);
-
-  // Pinning to action 1 everywhere must differ from the greedy sweep on
-  // this model (otherwise the test would not distinguish the two paths).
-  std::vector<double> out_greedy(n);
-  double gmin = inf, gmax = -inf;
-  mdp::kernel::rvi_sweep(compiled, compiled.expected_reward(), 0.875,
-                         bias.data(), 0.0, nullptr, 0, n, out_greedy.data(),
-                         nullptr, &gmin, &gmax, Isa::kScalar);
-  bool any_difference = false;
-  for (mdp::StateId s = 0; s < n && !any_difference; ++s) {
-    any_difference = out_greedy[s] != out_scalar[s];
-  }
-  EXPECT_TRUE(any_difference);
 }
 
 // ---- solver-level bit-identity -------------------------------------------
@@ -546,7 +498,7 @@ TEST(WarmStart, SeedNeverMovesTheFixedPoint) {
   EXPECT_NEAR(cold.ratio, warm.ratio, 10.0 * knobs.tolerance);
   EXPECT_EQ(cold.policy, warm.policy);
   // Seeding with the converged bias cannot make the solve work harder.
-  EXPECT_LE(warm.diagnostics.inner_sweeps, cold.diagnostics.inner_sweeps);
+  EXPECT_LE(warm.diagnostics.inner_rounds, cold.diagnostics.inner_rounds);
 }
 
 TEST(WarmStart, MismatchedSeedSizeIsIgnored) {
@@ -582,16 +534,16 @@ TEST(WarmStart, PoolNearestPrefersLowerIndexOnTies) {
 TEST(WarmStart, EstimateSweepsSaved) {
   using Obs = std::pair<bool, std::int64_t>;
   const std::vector<Obs> none;
-  EXPECT_EQ(mdp::estimate_sweeps_saved(none), 0);
+  EXPECT_EQ(mdp::estimate_rounds_saved(none), 0);
 
   // mean cold = 15; the warm item at 5 saved ~10; a warm item slower than
   // the cold mean contributes zero (clamped), not a negative.
   const std::vector<Obs> mixed = {{false, 10}, {false, 20}, {true, 5}};
-  EXPECT_EQ(mdp::estimate_sweeps_saved(mixed), 10);
+  EXPECT_EQ(mdp::estimate_rounds_saved(mixed), 10);
   const std::vector<Obs> slow_warm = {{false, 10}, {true, 50}};
-  EXPECT_EQ(mdp::estimate_sweeps_saved(slow_warm), 0);
+  EXPECT_EQ(mdp::estimate_rounds_saved(slow_warm), 0);
   const std::vector<Obs> all_warm = {{true, 5}, {true, 6}};
-  EXPECT_EQ(mdp::estimate_sweeps_saved(all_warm), 0);  // no cold baseline
+  EXPECT_EQ(mdp::estimate_rounds_saved(all_warm), 0);  // no cold baseline
 }
 
 TEST(WarmStart, BatchCountsSeededCellsAtOneThread) {
@@ -624,7 +576,7 @@ TEST(WarmStart, BatchCountsSeededCellsAtOneThread) {
   EXPECT_TRUE(warm_results[1].used_warm_start);
   EXPECT_TRUE(warm_results[2].used_warm_start);
   EXPECT_EQ(report.items_warm_started, 2u);
-  EXPECT_GE(report.sweeps_saved_estimate, 0);
+  EXPECT_GE(report.rounds_saved_estimate, 0);
 
   // The warm values equal the cold values within solver tolerance.
   mdp::BatchConfig cold_batch;

@@ -219,6 +219,18 @@ Model make_alternator(double r0, double r1) {
   return builder.build();
 }
 
+/// One state, two self-loop actions with reward 1 (action 0) and 3: the
+/// ratio solver starts from action 0, so reaching the optimum 3 takes a
+/// Dinkelbach step beyond the start policy's ratio.
+Model make_two_choice() {
+  ModelBuilder builder(1);
+  builder.begin_action(0, 0);
+  builder.add_outcome(0, 1.0, 1.0, 1.0);
+  builder.begin_action(0, 1);
+  builder.add_outcome(0, 1.0, 3.0, 1.0);
+  return builder.build();
+}
+
 RunControl cancelled_control() {
   RunControl control;
   control.cancel = CancelToken::make();
@@ -309,7 +321,7 @@ TEST(RatioControl, ConvergedSolveCarriesDiagnostics) {
   EXPECT_NEAR(result.ratio, 2.0, 1e-5);
   EXPECT_GT(result.diagnostics.outer_iterations, 0);
   EXPECT_GT(result.diagnostics.inner_solves, 0);
-  EXPECT_GT(result.diagnostics.inner_sweeps, 0);
+  EXPECT_GT(result.diagnostics.inner_rounds, 0);
   EXPECT_EQ(result.diagnostics.rho_trajectory.size(),
             static_cast<std::size_t>(result.diagnostics.outer_iterations));
   EXPECT_EQ(result.diagnostics.residual_trajectory.size(),
@@ -331,10 +343,12 @@ TEST(RatioControl, PreCancelledReturnsCancelled) {
 }
 
 TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
-  // The acceptance scenario: a real (setting-2, ~10k states) model, a
-  // tolerance far below what 100 ms of work can reach, and a 100 ms
-  // deadline. The solve must come back quickly, flagged kBudgetExhausted,
-  // with a best-effort policy covering every state.
+  // The acceptance scenario: a real (setting-2, ~30k states) model whose
+  // unbudgeted solve takes ~20 ms (4 vCPUs), and a 1 ms deadline — the
+  // same ~1/20 of the solve the original 100 ms deadline gave the
+  // relative-value-iteration solver. The solve must come back quickly,
+  // flagged kBudgetExhausted, with a best-effort policy covering every
+  // state.
   bu::AttackParams params;
   params.alpha = 0.20;
   params.beta = 0.32;
@@ -345,8 +359,7 @@ TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
 
   mdp::SolverConfig config;
   config.ratio.tolerance = 1e-14;
-  config.average_reward.tolerance = 1e-14;
-  config.control.budget = RunBudget::deadline(0.1);
+  config.control.budget = RunBudget::deadline(1e-3);
   const mdp::RatioResult result =
       mdp::maximize_ratio(attack.model, config);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
@@ -358,7 +371,7 @@ TEST(RatioControl, DeadlineStarvedSolveReturnsUsablePartialPolicy) {
 }
 
 TEST(RatioControl, RetryEscalatesAStalledSolve) {
-  const Model model = make_alternator(1.0, 3.0);
+  const Model model = make_two_choice();
   mdp::SolverConfig config;
   config.ratio.upper_bound = 10.0;
   config.ratio.max_iterations = 1;  // guaranteed to stall on the first attempt
@@ -370,11 +383,11 @@ TEST(RatioControl, RetryEscalatesAStalledSolve) {
       mdp::maximize_ratio_with_retry(model, config);
   EXPECT_GE(result.diagnostics.retries, 1);
   EXPECT_EQ(result.status, RunStatus::kConverged);
-  EXPECT_NEAR(result.ratio, 2.0, 1e-5);
+  EXPECT_NEAR(result.ratio, 3.0, 1e-5);
 }
 
 TEST(RatioControl, RetryRespectsTheRetryCap) {
-  const Model model = make_alternator(1.0, 3.0);
+  const Model model = make_two_choice();
   mdp::SolverConfig config;
   config.ratio.upper_bound = 10.0;
   config.ratio.max_iterations = 1;
@@ -397,8 +410,9 @@ TEST(RatioControl, RetryDoesNotRetryExhaustedBudgets) {
       bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
   mdp::SolverConfig config;
   config.ratio.tolerance = 1e-14;
-  config.average_reward.tolerance = 1e-14;
-  config.control.budget = RunBudget::deadline(0.05);
+  // Well below the ~20 ms unbudgeted solve (as 50 ms was for the
+  // relative-value-iteration solver's seconds).
+  config.control.budget = RunBudget::deadline(1e-3);
   const mdp::RatioResult result =
       mdp::maximize_ratio_with_retry(attack.model, config);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
@@ -554,8 +568,9 @@ TEST(AnalysisControl, DeadlineStarvedAnalysisReportsExhaustion) {
   params.setting = bu::Setting::kStickyGate;
   bu::AnalysisOptions options;
   options.tolerance = 1e-14;
-  options.inner.tolerance = 1e-14;
-  options.control.budget = RunBudget::deadline(0.1);
+  // ~1/20 of the ~20 ms unbudgeted solve (the old 0.1 s was ~1/20 of the
+  // relative-value-iteration solve).
+  options.control.budget = RunBudget::deadline(1e-3);
   const bu::AnalysisResult result =
       bu::analyze(params, bu::Utility::kRelativeRevenue, options);
   EXPECT_EQ(result.status, RunStatus::kBudgetExhausted);
