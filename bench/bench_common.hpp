@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "mdp/batch.hpp"
-#include "mdp/kernel.hpp"
 #include "mdp/model_cache.hpp"
 #include "mdp/solve_report.hpp"
 #include "obs/event_log.hpp"
@@ -41,12 +40,6 @@ inline void add_budget_args(util::ArgParser& parser) {
        "abort solving after this wall-clock budget", "unlimited"},
       {"max-ticks", util::ArgType::kLong, "N",
        "abort solving after N solver iterations", "unlimited"},
-      // Declared with the budget group because every bench accepts it (the
-      // sweep kernel underlies each of them); consumed by ObsSession, which
-      // also stamps the resolved ISA into the run manifest.
-      {"kernel", util::ArgType::kString, "ISA",
-       "sweep kernel ISA: auto|scalar|avx2|avx512 (overrides BVC_KERNEL)",
-       "auto"},
   });
 }
 
@@ -158,7 +151,7 @@ inline bool require_solved(robust::RunStatus status, const std::string& context,
 }
 
 /// Overload for any solver result deriving from mdp::SolveReport (ratio,
-/// gain, discounted, policy-iteration, bu/btc analysis results alike). Adds
+/// gain, policy-iteration, bu/btc analysis results alike). Adds
 /// the report's iteration count and wall clock to the diagnostic.
 inline bool require_solved(const mdp::SolveReport& report,
                            const std::string& context, bool fatal = true) {
@@ -320,25 +313,6 @@ class ObsSession {
       flusher_ = std::make_unique<obs::TelemetryFlusher>(telemetry);
       annotate("telemetry_dir", telemetry_dir);
     }
-    // Kernel ISA selection (--kernel flag, over the BVC_KERNEL env
-    // default) lives here so every bench picks it up by constructing its
-    // ObsSession — and so the manifest records which ISA actually ran.
-    const std::string kernel_name = args.get_string("kernel", "");
-    if (!kernel_name.empty()) {
-      const auto request = mdp::kernel::parse_request(kernel_name);
-      if (!request) {
-        std::fprintf(stderr,
-                     "*** invalid --kernel value '%s' "
-                     "(expected auto|scalar|avx2|avx512)\n",
-                     kernel_name.c_str());
-        std::exit(2);
-      }
-      mdp::kernel::set_requested(*request);
-    }
-    annotate("kernel_requested",
-             std::string(mdp::kernel::to_string(mdp::kernel::requested())));
-    annotate("kernel_isa",
-             std::string(mdp::kernel::to_string(mdp::kernel::resolve())));
   }
 
   ObsSession(const ObsSession&) = delete;

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Scheme-independence and certification gate for the full Table 2 grid
-# (registered as the `kernel`-labeled ctest case check_kernel_threads):
+# Thread-independence and certification gate for the full Table 2 grid
+# (registered as the `solver`-labeled ctest case check_solver_gate):
 #
-#   1. bench_table2 runs under every --kernel {auto,scalar} x --threads
-#      {1,4} combination; the four CSV files must be BYTE-IDENTICAL (the
-#      kernel only computes the greedy pass's q column, bit-identically on
-#      every ISA, and batch threads only schedule whole cells);
+#   1. bench_table2 runs under --threads 1 and --threads 4; the two CSV
+#      files must be BYTE-IDENTICAL (batch threads only schedule whole
+#      cells, never the arithmetic inside one);
 #   2. one traced run proves every printed cell is certified: no rvi.solve
 #      span remains on the Table 2 path, every policy_iteration.solve span
 #      ends "converged" with an Odoni bracket no wider than the analysis'
@@ -14,7 +13,7 @@
 # bench_table2 itself aborts on any non-converged cell, so a stall also
 # fails step 1.
 #
-# Usage: scripts/check_kernel_threads.sh [build-dir]   (default: build-ci)
+# Usage: scripts/check_solver_gate.sh [build-dir]   (default: build-ci)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -22,27 +21,22 @@ build="${1:-$repo/build-ci}"
 [[ -d "$build" ]] || build="$repo/$1"
 bench="$build/bench/bench_table2"
 [[ -x "$bench" ]] || {
-  echo "check_kernel_threads.sh: $bench not built" >&2
+  echo "check_solver_gate.sh: $bench not built" >&2
   exit 1
 }
 
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
-for kernel in auto scalar; do
-  for threads in 1 4; do
-    "$bench" --kernel "$kernel" --threads "$threads" \
-      --csv "$out/$kernel-$threads.csv" >/dev/null \
-      2>"$out/$kernel-$threads.err"
-  done
+for threads in 1 4; do
+  "$bench" --threads "$threads" --csv "$out/threads-$threads.csv" \
+    >/dev/null 2>"$out/threads-$threads.err"
 done
-for csv in "$out"/*.csv; do
-  cmp -s "$out/auto-1.csv" "$csv" || {
-    echo "check_kernel_threads.sh: $(basename "$csv") != auto-1.csv" >&2
-    diff "$out/auto-1.csv" "$csv" >&2 || true
-    exit 1
-  }
-done
+cmp -s "$out/threads-1.csv" "$out/threads-4.csv" || {
+  echo "check_solver_gate.sh: threads-4.csv != threads-1.csv" >&2
+  diff "$out/threads-1.csv" "$out/threads-4.csv" >&2 || true
+  exit 1
+}
 
 "$bench" --threads 4 --trace-out "$out/trace.json" \
   --metrics-out "$out/metrics.json" >/dev/null 2>"$out/traced.err"
@@ -64,6 +58,6 @@ for span in solves:
 counters = json.loads((out / "metrics.json").read_text())["counters"]
 assert counters.get("mdp.solve.stalled", -1) == 0, counters
 assert counters.get("obs.trace.dropped_spans", 0) == 0, counters
-print(f"check_kernel_threads.sh: 4 CSVs identical; {len(solves)} inner "
+print(f"check_solver_gate.sh: 2 CSVs identical; {len(solves)} inner "
       "solves certified")
 EOF

@@ -30,9 +30,8 @@ struct Policy {
 
 /// The relative-value-iteration knob block. Not a front door: callers
 /// configure solves through mdp::SolverConfig (solver_config.hpp), which
-/// nests this struct as its `average_reward` field and stamps `control` /
-/// `threads` when lowering. The pre-SolverConfig name AverageRewardOptions
-/// survives only as a [[deprecated]] alias in solver_config.hpp.
+/// nests this struct as its `average_reward` field and stamps `control`
+/// when lowering.
 struct AverageRewardKnobs {
   /// Stopping threshold on the span seminorm of successive value differences;
   /// bounds the gain error by the same amount.
@@ -45,14 +44,6 @@ struct AverageRewardKnobs {
   /// probability (1 - tau). 1.0 disables the transformation; the default
   /// keeps a sliver of self-loop as insurance at ~0.1% cost.
   double aperiodicity_tau = 0.999;
-  /// Value-iteration worker threads (prefer setting SolverConfig::threads,
-  /// which stamps this field). 1 runs the legacy serial Gauss-Seidel sweep,
-  /// bit-identical to previous releases. >1 switches to the chunked Jacobi
-  /// sweep (docs/PARALLELISM.md): per-state backups read only the previous
-  /// sweep's values and the span reduction is exact, so the result is
-  /// bit-identical for EVERY thread count >= 2 — but follows a different
-  /// (equally valid) trajectory than the serial sweep to the same optimum.
-  int threads = 1;
   /// Wall-clock/iteration budget and cooperative cancellation. One guard
   /// tick is one sweep; on exhaustion the solver returns its best bias and
   /// greedy policy so far with status kBudgetExhausted / kCancelled.
@@ -74,7 +65,7 @@ struct GainResult : SolveReport {
 /// of solves (e.g. Dinkelbach iterations) much cheaper.
 ///
 /// The CompiledModel overloads are the real solver (the sweep runs on the
-/// SoA kernel layout); the Model overloads compile on entry and forward,
+/// SoA layout); the Model overloads compile on entry and forward,
 /// producing bit-identical results. Callers that solve one model repeatedly
 /// (ratio iterations, batch sweeps) should compile once — or fetch the
 /// compilation from mdp::ModelCache — and call the compiled overloads.

@@ -40,8 +40,7 @@
 
 namespace bvc::mdp {
 
-/// Engine-level knobs, distinct from SolverConfig::threads (which
-/// parallelizes *inside* one value-iteration sweep).
+/// Engine-level knobs for the batch fan-out across whole solves.
 struct BatchConfig {
   /// Worker threads for the batch fan-out. 0 means "all hardware threads";
   /// 1 runs every item inline on the calling thread (no pool is created).

@@ -4,22 +4,16 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
-#include <type_traits>
 
 #include "util/check.hpp"
-#include "util/numa.hpp"
 
 namespace bvc::mdp {
 
-CompiledModel CompiledModel::compile(const Model& model, double tau) {
-  BVC_REQUIRE(tau > 0.0 && tau <= 1.0, "aperiodicity tau must be in (0, 1]");
-
+CompiledModel CompiledModel::compile(const Model& model) {
   const StateId n = model.num_states();
   const std::size_t actions = model.num_state_actions();
 
   CompiledModel compiled;
-  compiled.tau_ = tau;
   compiled.state_begin_.reserve(n + 1);
   compiled.action_labels_.reserve(actions);
   compiled.outcome_begin_.reserve(actions + 1);
@@ -41,7 +35,6 @@ CompiledModel CompiledModel::compile(const Model& model, double tau) {
       for (const Outcome& o : model.outcomes(sa)) {
         compiled.next_.push_back(o.next);
         compiled.prob_.push_back(o.probability);
-        compiled.damped_prob_.push_back(tau * o.probability);
         compiled.reward_.push_back(o.reward);
         compiled.weight_.push_back(o.weight);
       }
@@ -52,86 +45,23 @@ CompiledModel CompiledModel::compile(const Model& model, double tau) {
 
   BVC_ENSURE(compiled.action_labels_.size() == actions,
              "compiled action count must match the source model");
-  compiled.finalize_layout();
   return compiled;
 }
 
-void CompiledModel::finalize_layout() {
-  // ELL policy: pad every action to the widest row iff the widest row is
-  // short and the padding overhead is bounded (see kMaxEllWidth /
-  // kMaxEllPaddingFactor in the header). The attack models' actions have
-  // at most 3 outcomes, so they always qualify.
-  const std::size_t num_sa = action_labels_.size();
-  // Uniform action count (0 when ragged): derived, so deserialized models
-  // recompute it here rather than storing it in the cache format.
-  const std::size_t num_states = state_begin_.size() - 1;
-  uniform_actions_ = num_states > 0 ? state_begin_[1] - state_begin_[0] : 0;
-  for (std::size_t s = 1; s < num_states; ++s) {
-    if (state_begin_[s + 1] - state_begin_[s] != uniform_actions_) {
-      uniform_actions_ = 0;
-      break;
-    }
-  }
-  std::size_t width = 0;
-  for (std::size_t sa = 0; sa < num_sa; ++sa) {
-    width = std::max(width, outcome_begin_[sa + 1] - outcome_begin_[sa]);
-  }
-  ell_width_ = 0;
-  ell_stride_ = 0;
-  ell_prob_.clear();
-  ell_next_.clear();
-  if (num_sa > 0 && width > 0 && width <= kMaxEllWidth &&
-      width * num_sa <= kMaxEllPaddingFactor * next_.size()) {
-    // Stride padded to 8 doubles so an 8-lane load at any sa <
-    // num_state_actions() stays inside the allocation.
-    const std::size_t stride = (num_sa + 7) / 8 * 8;
-    ell_width_ = width;
-    ell_stride_ = stride;
-    ell_prob_.assign(width * stride, 0.0);
-    ell_next_.assign(width * stride, 0);
-    for (std::size_t sa = 0; sa < num_sa; ++sa) {
-      const std::size_t begin = outcome_begin_[sa];
-      const std::size_t end = outcome_begin_[sa + 1];
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::size_t j = k - begin;
-        ell_prob_[j * stride + sa] = prob_[k];
-        ell_next_[j * stride + sa] = next_[k];
-      }
-    }
-  }
-
-  // NUMA: interleave the columns every sweep worker streams. No-op on
-  // single-node machines; small models are not worth a syscall per column.
-  constexpr std::size_t kMinSpreadBytes = 1u << 20;
-  if (util::numa::multi_node() && bytes_resident() >= kMinSpreadBytes) {
-    const auto spread = [](auto& column) {
-      using T = typename std::remove_reference_t<decltype(column)>::value_type;
-      (void)util::numa::interleave_pages(column.data(),
-                                         column.size() * sizeof(T));
-    };
-    spread(next_);
-    spread(prob_);
-    spread(damped_prob_);
-    spread(reward_);
-    spread(weight_);
-    spread(expected_reward_);
-    spread(expected_weight_);
-    spread(ell_prob_);
-    spread(ell_next_);
-  }
-}
-
 std::shared_ptr<const CompiledModel> CompiledModel::compile_shared(
-    const Model& model, double tau) {
-  return std::make_shared<const CompiledModel>(compile(model, tau));
+    const Model& model) {
+  return std::make_shared<const CompiledModel>(compile(model));
 }
 
 namespace {
 
-// Disk-tier wire format: magic, layout fingerprint, tau, then each column
-// as (element count, raw bytes). Native endianness — the file never leaves
-// the machine that wrote it, and a mismatched reader fails the fingerprint.
-constexpr std::uint32_t kMagic = 0x4d435642;  // "BVCM"
+// Disk-tier wire format: magic, layout fingerprint, then each column as
+// (element count, raw bytes). Native endianness — the file never leaves the
+// machine that wrote it, and a mismatched reader fails the fingerprint. The
+// magic names the column list: files from the earlier "BVCM" layout (which
+// also stored tau and a tau-scaled copy of prob) fail it and are
+// recompiled.
+constexpr std::uint32_t kMagic = 0x32435642;  // "BVC2"
 constexpr std::uint32_t kLayout = (sizeof(StateId) << 0) |
                                   (sizeof(ActionLabel) << 8) |
                                   (sizeof(SaIndex) << 16) |
@@ -148,12 +78,8 @@ bool read_pod(std::istream& in, T& value) {
   return in.good();
 }
 
-/// Vec is any contiguous vector type (std::vector or util::AlignedVector
-/// — the wire format depends only on the element bytes, not the
-/// allocator).
-template <typename Vec>
-void write_column(std::ostream& out, const Vec& column) {
-  using T = typename Vec::value_type;
+template <typename T>
+void write_column(std::ostream& out, const std::vector<T>& column) {
   write_pod(out, static_cast<std::uint64_t>(column.size()));
   out.write(reinterpret_cast<const char*>(column.data()),
             static_cast<std::streamsize>(column.size() * sizeof(T)));
@@ -161,9 +87,9 @@ void write_column(std::ostream& out, const Vec& column) {
 
 /// Reads one column; `max_elements` bounds the allocation so a truncated
 /// or corrupt header cannot request terabytes.
-template <typename Vec>
-bool read_column(std::istream& in, Vec& column, std::uint64_t max_elements) {
-  using T = typename Vec::value_type;
+template <typename T>
+bool read_column(std::istream& in, std::vector<T>& column,
+                 std::uint64_t max_elements) {
   std::uint64_t count = 0;
   if (!read_pod(in, count) || count > max_elements) {
     return false;
@@ -179,13 +105,11 @@ bool read_column(std::istream& in, Vec& column, std::uint64_t max_elements) {
 void CompiledModel::serialize(std::ostream& out) const {
   write_pod(out, kMagic);
   write_pod(out, kLayout);
-  write_pod(out, tau_);
   write_column(out, state_begin_);
   write_column(out, action_labels_);
   write_column(out, outcome_begin_);
   write_column(out, next_);
   write_column(out, prob_);
-  write_column(out, damped_prob_);
   write_column(out, reward_);
   write_column(out, weight_);
   write_column(out, expected_reward_);
@@ -198,7 +122,7 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
   std::uint32_t layout = 0;
   CompiledModel model;
   if (!read_pod(in, magic) || magic != kMagic || !read_pod(in, layout) ||
-      layout != kLayout || !read_pod(in, model.tau_)) {
+      layout != kLayout) {
     return nullptr;
   }
   // ~100M elements/column bounds the read at a few GB — far above any real
@@ -209,7 +133,6 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
       !read_column(in, model.outcome_begin_, kMaxElements) ||
       !read_column(in, model.next_, kMaxElements) ||
       !read_column(in, model.prob_, kMaxElements) ||
-      !read_column(in, model.damped_prob_, kMaxElements) ||
       !read_column(in, model.reward_, kMaxElements) ||
       !read_column(in, model.weight_, kMaxElements) ||
       !read_column(in, model.expected_reward_, kMaxElements) ||
@@ -224,22 +147,24 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
       model.outcome_begin_.back() != model.next_.size() ||
       model.outcome_begin_.size() != model.action_labels_.size() + 1 ||
       model.prob_.size() != model.next_.size() ||
-      model.damped_prob_.size() != model.next_.size() ||
       model.reward_.size() != model.next_.size() ||
       model.weight_.size() != model.next_.size() ||
       model.expected_reward_.size() != model.action_labels_.size() ||
       model.expected_weight_.size() != model.action_labels_.size()) {
     return nullptr;
   }
-  for (std::size_t i = 1; i < model.state_begin_.size(); ++i) {
-    if (model.state_begin_[i] < model.state_begin_[i - 1]) {
-      return nullptr;
-    }
-  }
-  for (std::size_t i = 1; i < model.outcome_begin_.size(); ++i) {
-    if (model.outcome_begin_[i] < model.outcome_begin_[i - 1]) {
-      return nullptr;
-    }
+  // Strictly increasing offsets: every state owns at least one action and
+  // every action at least one outcome, as ModelBuilder guarantees. A state
+  // with no actions would send the greedy passes' state_begin(s) read into
+  // the next state's slots (one past the end for the last state).
+  const auto strictly_increasing = [](const auto& offsets) {
+    return std::adjacent_find(offsets.begin(), offsets.end(),
+                              [](auto a, auto b) { return b <= a; }) ==
+           offsets.end();
+  };
+  if (!strictly_increasing(model.state_begin_) ||
+      !strictly_increasing(model.outcome_begin_)) {
+    return nullptr;
   }
   const StateId states = model.num_states();
   for (const StateId next : model.next_) {
@@ -247,24 +172,7 @@ std::shared_ptr<const CompiledModel> CompiledModel::deserialize(
       return nullptr;
     }
   }
-  // The ELL mirror is a derived structure, rebuilt rather than stored: the
-  // disk format stays identical to pre-ELL writers and a corrupt file can
-  // never smuggle in an inconsistent mirror.
-  model.finalize_layout();
   return std::make_shared<const CompiledModel>(std::move(model));
-}
-
-std::string CompiledModel::summary() const {
-  std::ostringstream out;
-  out << "CompiledModel{states=" << num_states()
-      << ", state_actions=" << num_state_actions()
-      << ", outcomes=" << num_outcomes()
-      << ", align=" << util::kColumnAlignment << "B";
-  if (has_ell()) {
-    out << ", ell_width=" << ell_width_;
-  }
-  out << '}';
-  return out.str();
 }
 
 }  // namespace bvc::mdp

@@ -1,5 +1,5 @@
-// Structure-of-arrays compilation of a sparse Model — the solver kernel
-// layout.
+// Structure-of-arrays compilation of a sparse Model — the layout every
+// solver sweeps.
 //
 // Model (model.hpp) is the *authoring* representation: convenient to build
 // incrementally, validated, and addressed through bounds-checked accessors.
@@ -11,34 +11,12 @@
 //
 // CompiledModel is the same CSR-like structure flattened into parallel
 // scalar arrays (state_begin / outcome_begin index arrays, and next / prob /
-// reward / weight outcome columns), with unchecked inline accessors. All
-// four solvers (average_reward, ratio, discounted, policy_iteration) and
-// rollout_model sweep this layout; the Model overloads compile on entry and
-// forward. Compilation preserves action and outcome ORDER exactly, and the
-// solvers keep the seed's expression order, so every result is bit-identical
-// to sweeping the Model directly.
-//
-// `damped_prob` additionally stores tau * prob — the aperiodicity-damped
-// probabilities folded in at compile time. The production RVI sweep does
-// NOT read it: folding tau into the products changes the floating-point
-// association (tau * (r + sum p*h) != tau*r + sum (tau*p)*h) and the
-// adaptive damping schedule re-scales tau mid-solve anyway. It exists for
-// kernels with a fixed tau (the bench_solver_micro `kernel` mode) that
-// trade bit-compatibility for one fewer multiply per branch.
-//
-// Since PR 8 the columns are 64-byte-aligned allocations
-// (util::AlignedVector) and, when every action's outcome list is short
-// enough, a padded column-major ELL mirror of the next/prob columns is
-// built alongside the CSR layout for the vectorized sweep kernels
-// (mdp/kernel.hpp): ell_prob()[j * ell_stride() + sa] is outcome j of flat
-// action sa, zero-padded past the action's real outcomes. Padding entries
-// have prob == 0.0 and next == 0, so accumulating them adds exactly 0.0
-// and the vector kernel can run fixed-width lanes without masking. The
-// scalar CSR columns remain authoritative; the ELL mirror is rebuilt (not
-// stored) when a model is deserialized from the cache disk tier. On
-// multi-node machines the big columns are interleaved across NUMA nodes
-// at build/load time (util/numa.hpp) — every sweep worker streams every
-// column, so round-robin pages balance the memory channels.
+// reward / weight outcome columns), with unchecked inline accessors. Every
+// solver (average_reward, ratio, policy_iteration) and rollout_model sweeps
+// this layout; the Model overloads compile on entry and forward.
+// Compilation preserves action and outcome ORDER exactly, and the solvers
+// keep the seed's expression order, so every result is bit-identical to
+// sweeping the Model directly.
 //
 // CompiledModel is immutable after compile() and safe to share across
 // threads by const reference — mdp::ModelCache (model_cache.hpp) hands out
@@ -46,26 +24,22 @@
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mdp/model.hpp"
-#include "util/aligned.hpp"
 
 namespace bvc::mdp {
 
 class CompiledModel {
  public:
-  /// Flattens `model` into the SoA layout. `tau` only parameterizes the
-  /// `damped_prob` column (see file comment); it does not affect any other
-  /// column or any solver result.
-  [[nodiscard]] static CompiledModel compile(const Model& model,
-                                             double tau = 0.999);
+  /// Flattens `model` into the SoA layout.
+  [[nodiscard]] static CompiledModel compile(const Model& model);
 
   /// compile() wrapped in a shared_ptr — the shape ModelCache stores.
   [[nodiscard]] static std::shared_ptr<const CompiledModel> compile_shared(
-      const Model& model, double tau = 0.999);
+      const Model& model);
 
   [[nodiscard]] StateId num_states() const noexcept {
     return static_cast<StateId>(state_begin_.size() - 1);
@@ -76,7 +50,6 @@ class CompiledModel {
   [[nodiscard]] std::size_t num_outcomes() const noexcept {
     return next_.size();
   }
-  [[nodiscard]] double compiled_tau() const noexcept { return tau_; }
 
   // Unchecked structural accessors (the hot-loop interface). Indices are
   // validated once at the solver entry points, not per access.
@@ -85,12 +58,6 @@ class CompiledModel {
   }
   [[nodiscard]] std::size_t num_actions(StateId s) const noexcept {
     return state_begin_[s + 1] - state_begin_[s];
-  }
-  /// When every state has the same action count, that count; 0 for ragged
-  /// models. Lets kernels select fixed-width per-state code (the paper's
-  /// attack models are uniform: every state offers the same action menu).
-  [[nodiscard]] std::size_t uniform_actions() const noexcept {
-    return uniform_actions_;
   }
   [[nodiscard]] SaIndex sa_index(StateId s, std::size_t a) const noexcept {
     return state_begin_[s] + a;
@@ -108,9 +75,6 @@ class CompiledModel {
   // Outcome columns, indexed by [outcome_begin(sa), outcome_end(sa)).
   [[nodiscard]] const StateId* next() const noexcept { return next_.data(); }
   [[nodiscard]] const double* prob() const noexcept { return prob_.data(); }
-  [[nodiscard]] const double* damped_prob() const noexcept {
-    return damped_prob_.data();
-  }
   [[nodiscard]] const double* reward() const noexcept {
     return reward_.data();
   }
@@ -132,36 +96,19 @@ class CompiledModel {
     return expected_weight_[sa];
   }
 
-  // ELL (padded column-major) mirror for the vector kernels. Present only
-  // when the widest action has at most kMaxEllWidth outcomes and padding
-  // stays within kMaxEllPaddingFactor of the real outcome count (always
-  // true for the paper's attack models, whose actions have <= 3 outcomes).
-  // Layout: ell_prob()[j * ell_stride() + sa] / ell_next()[...] for
-  // j in [0, ell_width()), sa in [0, num_state_actions()); entries past an
-  // action's outcome_end are prob 0.0 / next 0, entries past
-  // num_state_actions() up to ell_stride() likewise, so full-width vector
-  // loads at any sa < num_state_actions() are in-bounds and padding terms
-  // accumulate as exact zeros.
-  [[nodiscard]] bool has_ell() const noexcept { return ell_width_ > 0; }
-  [[nodiscard]] std::size_t ell_width() const noexcept { return ell_width_; }
-  [[nodiscard]] std::size_t ell_stride() const noexcept { return ell_stride_; }
-  [[nodiscard]] const double* ell_prob() const noexcept {
-    return ell_prob_.data();
+  /// The expected-value backup every solver sweep reduces to: the sum of
+  /// p * bias[next] over action sa's outcomes, accumulated in row order
+  /// (so the RVI sweep and the policy-iteration greedy pass agree bit for
+  /// bit on the same bias).
+  [[nodiscard]] double expected_next(SaIndex sa,
+                                     const double* bias) const noexcept {
+    double sum = 0.0;
+    const std::size_t end = outcome_begin_[sa + 1];
+    for (std::size_t k = outcome_begin_[sa]; k < end; ++k) {
+      sum += prob_[k] * bias[next_[k]];
+    }
+    return sum;
   }
-  [[nodiscard]] const StateId* ell_next() const noexcept {
-    return ell_next_.data();
-  }
-
-  /// Widest ELL row the compiler will pad to; wider models simply carry no
-  /// ELL mirror and sweep through the scalar CSR kernel.
-  static constexpr std::size_t kMaxEllWidth = 16;
-  /// Cap on (padded cells) / (real outcomes); protects skewed models where
-  /// one wide action would multiply the footprint of every narrow one.
-  static constexpr std::size_t kMaxEllPaddingFactor = 4;
-
-  /// Human-readable structural summary (state/action/outcome counts,
-  /// column alignment, ELL width).
-  [[nodiscard]] std::string summary() const;
 
   /// Binary round-trip for the ModelCache disk tier. The format is a
   /// private cache artifact (native endianness, element sizes recorded in
@@ -174,61 +121,34 @@ class CompiledModel {
   [[nodiscard]] static std::shared_ptr<const CompiledModel> deserialize(
       std::istream& in);
 
-  /// Bytes held by the SoA columns, each rounded up to its 64-byte
-  /// allocation granularity (util::kColumnAlignment) — the actual resident
-  /// footprint of the aligned allocations, including the ELL mirror. Feeds
-  /// the cache's bytes_resident accounting so a sweep can see how much
-  /// model memory it keeps live.
+  /// Bytes held by the SoA columns. Feeds the cache's bytes_resident
+  /// accounting so a sweep can see how much model memory it keeps live.
   [[nodiscard]] std::size_t bytes_resident() const noexcept {
-    const auto column = [](std::size_t elements,
-                           std::size_t element_size) noexcept {
-      return util::aligned_footprint(elements * element_size);
+    const auto column = [](const auto& values) noexcept {
+      return values.size() * sizeof(values[0]);
     };
-    return column(state_begin_.size(), sizeof(SaIndex)) +
-           column(action_labels_.size(), sizeof(ActionLabel)) +
-           column(outcome_begin_.size(), sizeof(std::size_t)) +
-           column(next_.size(), sizeof(StateId)) +
-           column(prob_.size(), sizeof(double)) +
-           column(damped_prob_.size(), sizeof(double)) +
-           column(reward_.size(), sizeof(double)) +
-           column(weight_.size(), sizeof(double)) +
-           column(expected_reward_.size(), sizeof(double)) +
-           column(expected_weight_.size(), sizeof(double)) +
-           column(ell_prob_.size(), sizeof(double)) +
-           column(ell_next_.size(), sizeof(StateId));
+    return column(state_begin_) + column(action_labels_) +
+           column(outcome_begin_) + column(next_) + column(prob_) +
+           column(reward_) + column(weight_) + column(expected_reward_) +
+           column(expected_weight_);
   }
 
  private:
   CompiledModel() = default;
 
-  /// Builds the ELL mirror from the CSR columns (or leaves it absent when
-  /// the width/padding policy says no), then interleaves the big columns
-  /// across NUMA nodes. Run once at the end of compile()/deserialize().
-  void finalize_layout();
-
-  double tau_ = 0.999;
   // state s owns flat actions [state_begin_[s], state_begin_[s+1])
-  util::AlignedVector<SaIndex> state_begin_;
-  util::AlignedVector<ActionLabel> action_labels_;
+  std::vector<SaIndex> state_begin_;
+  std::vector<ActionLabel> action_labels_;
   // flat action sa owns outcome rows [outcome_begin_[sa], outcome_begin_[sa+1])
-  util::AlignedVector<std::size_t> outcome_begin_;
+  std::vector<std::size_t> outcome_begin_;
   // outcome columns (parallel arrays, one row per sparse branch)
-  util::AlignedVector<StateId> next_;
-  util::AlignedVector<double> prob_;
-  util::AlignedVector<double> damped_prob_;  ///< tau_ * prob_ (kernel-bench only)
-  util::AlignedVector<double> reward_;
-  util::AlignedVector<double> weight_;
+  std::vector<StateId> next_;
+  std::vector<double> prob_;
+  std::vector<double> reward_;
+  std::vector<double> weight_;
   // per-(state, action) expectations
-  util::AlignedVector<double> expected_reward_;
-  util::AlignedVector<double> expected_weight_;
-  // derived in finalize_layout (not serialized): common action count, 0 if
-  // ragged
-  std::size_t uniform_actions_ = 0;
-  // ELL mirror (see has_ell); empty when the policy rejects the model
-  std::size_t ell_width_ = 0;
-  std::size_t ell_stride_ = 0;
-  util::AlignedVector<double> ell_prob_;
-  util::AlignedVector<StateId> ell_next_;
+  std::vector<double> expected_reward_;
+  std::vector<double> expected_weight_;
 };
 
 }  // namespace bvc::mdp

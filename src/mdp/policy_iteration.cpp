@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "mdp/kernel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -449,16 +448,13 @@ void HowardSolver::fill_result(double rho, PolicyIterationResult& out) const {
 
 bool HowardSolver::improve(const std::vector<double>& bias, double rho,
                            double improvement_tolerance, bool keep_incumbent) {
-  // The expected-next column through the dispatched kernel (no seed, scale
-  // 1: every ISA and the scalar path agree bit-for-bit), then the
-  // linearized reward num - rho * den on top.
-  kernel::backup_expected(model_, nullptr, 1.0, bias.data(), 0,
-                          model_.num_state_actions(), q_.data(),
-                          kernel::resolve());
+  // The expected-next value of every action, then the linearized reward
+  // num - rho * den on top.
   const bool has_den = !den_rewards_.empty();
   for (SaIndex sa = 0; sa < model_.num_state_actions(); ++sa) {
-    q_[sa] += has_den ? num_rewards_[sa] - rho * den_rewards_[sa]
-                      : num_rewards_[sa];
+    q_[sa] = model_.expected_next(sa, bias.data()) +
+             (has_den ? num_rewards_[sa] - rho * den_rewards_[sa]
+                      : num_rewards_[sa]);
   }
   bool changed = false;
   for (StateId s = 0; s < model_.num_states(); ++s) {

@@ -27,9 +27,8 @@
 // factoring) is reported as kDegenerateModel, never as a number.
 //
 // Improvement (HowardSolver). The greedy pass evaluates every action's
-// q-value against the exact bias through kernel::backup_expected, which is
-// bit-identical across ISAs, so the kernel choice cannot change which
-// action is chosen. Howard's iteration terminates in finitely many rounds
+// q-value against the exact bias through CompiledModel::expected_next, the
+// same loop the RVI sweep uses. Howard's iteration terminates in finitely many rounds
 // on unichain models, each round one factorization plus one greedy pass.
 #pragma once
 
@@ -41,14 +40,11 @@
 #include "mdp/average_reward.hpp"
 #include "mdp/compiled_model.hpp"
 #include "mdp/model.hpp"
-#include "util/aligned.hpp"
 
 namespace bvc::mdp {
 
 /// The Howard policy-iteration knob block. Not a front door: callers
-/// configure solves through mdp::SolverConfig (solver_config.hpp). The
-/// pre-SolverConfig name PolicyIterationOptions survives only as a
-/// [[deprecated]] alias there.
+/// configure solves through mdp::SolverConfig (solver_config.hpp).
 struct PolicyIterationKnobs {
   int max_improvements = 1000;
   /// Keep the incumbent action unless a challenger beats it by this margin
@@ -201,7 +197,7 @@ class HowardSolver {
   PolicyEvaluator::Stream den_;
   std::vector<double> h_num_;
   std::vector<double> h_den_;
-  util::AlignedVector<double> q_;
+  std::vector<double> q_;
 };
 
 /// Maximizes the average of `sa_rewards` by Howard's policy iteration. As

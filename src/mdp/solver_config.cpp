@@ -5,16 +5,6 @@ namespace bvc::mdp {
 AverageRewardKnobs SolverConfig::average_reward_options() const {
   AverageRewardKnobs options = average_reward;
   options.control = control;
-  options.threads = threads;
-  return options;
-}
-
-DiscountedKnobs SolverConfig::discounted_options() const {
-  DiscountedKnobs options;
-  options.discount = discounted.discount;
-  options.tolerance = discounted.tolerance;
-  options.max_sweeps = discounted.max_sweeps;
-  options.control = control;
   return options;
 }
 
@@ -72,16 +62,6 @@ GainResult maximize_average_reward(const CompiledModel& model,
   return maximize_average_reward(model, sa_rewards,
                                  config.average_reward_options(),
                                  warm_start_bias);
-}
-
-DiscountedResult solve_discounted(const Model& model,
-                                  const SolverConfig& config) {
-  return solve_discounted(model, config.discounted_options());
-}
-
-DiscountedResult solve_discounted(const CompiledModel& model,
-                                  const SolverConfig& config) {
-  return solve_discounted(model, config.discounted_options());
 }
 
 PolicyIterationResult policy_iteration(const Model& model,

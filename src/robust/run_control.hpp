@@ -2,7 +2,7 @@
 // iteration budgets, cooperative cancellation, and a structured outcome
 // taxonomy replacing the bare `bool converged` idiom.
 //
-// Every iterative component in this library (the four MDP solvers, the
+// Every iterative component in this library (the MDP solvers, the
 // event-driven network simulation, the fork simulation, and the Monte-Carlo
 // rollouts) accepts a RunControl through its options and reports a RunStatus
 // on its result. On budget exhaustion or cancellation the component returns

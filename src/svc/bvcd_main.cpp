@@ -10,7 +10,6 @@
 #include <string>
 #include <thread>
 
-#include "mdp/kernel.hpp"
 #include "mdp/model_cache.hpp"
 #include "obs/event_log.hpp"
 #include "obs/manifest.hpp"
@@ -80,9 +79,6 @@ int main(int argc, char** argv) {
       {"manifest-out", util::ArgType::kString, "PATH",
        "write a run manifest (binary, args, endpoints, metrics) to PATH on "
        "shutdown", ""},
-      {"kernel", util::ArgType::kString, "ISA",
-       "sweep kernel ISA: auto|scalar|avx2|avx512 (overrides BVC_KERNEL)",
-       "auto"},
       {"log-out", util::ArgType::kString, "PATH",
        "write structured JSONL event-log records to PATH instead of "
        "human-readable stderr", ""},
@@ -127,19 +123,6 @@ int main(int argc, char** argv) {
   if (port < 0 || port > 65535) {
     std::fprintf(stderr, "bvcd: --port must be in [0, 65535]\n");
     return 2;
-  }
-
-  const std::string kernel_name = args.get_string("kernel", "");
-  if (!kernel_name.empty()) {
-    const auto kernel_request = mdp::kernel::parse_request(kernel_name);
-    if (!kernel_request) {
-      std::fprintf(stderr,
-                   "bvcd: invalid --kernel value '%s' "
-                   "(expected auto|scalar|avx2|avx512)\n",
-                   kernel_name.c_str());
-      return 2;
-    }
-    mdp::kernel::set_requested(*kernel_request);
   }
 
   const long cache_bytes = args.get_long("cache-bytes", 0);
@@ -203,12 +186,6 @@ int main(int argc, char** argv) {
   for (const std::string& endpoint : svc::SolveService::endpoints()) {
     manifest.annotations.emplace_back("endpoint", endpoint);
   }
-  manifest.annotations.emplace_back(
-      "kernel_requested",
-      std::string(mdp::kernel::to_string(mdp::kernel::requested())));
-  manifest.annotations.emplace_back(
-      "kernel_isa",
-      std::string(mdp::kernel::to_string(mdp::kernel::resolve())));
 
   svc::SolveService service(config);
   svc::HttpServer server(

@@ -1,18 +1,19 @@
 // The batch-solve engine and the SolverConfig front door: input-order
 // determinism across thread counts, shared-budget semantics (deadline,
-// tick cap, cancellation), parallel-vs-serial value-iteration equivalence,
-// and front-door/legacy-overload equivalence for all four solvers.
+// tick cap, cancellation), and front-door/knob-block equivalence for every
+// solver.
 #include "mdp/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bu/attack_analysis.hpp"
 #include "bu/attack_model.hpp"
 #include "mdp/average_reward.hpp"
-#include "mdp/discounted.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/solver_config.hpp"
@@ -243,64 +244,6 @@ TEST(AnalyzeBatch, MatchesSerialAnalyzeForEveryThreadCount) {
   }
 }
 
-// ------------------------------------- parallel value-iteration sweeps --
-
-TEST(ParallelVi, MatchesSerialGainAndPolicyOnTable2Model) {
-  const bu::AttackModel model = bu::build_attack_model(
-      [] {
-        bu::AttackParams params;
-        params.alpha = 0.25;
-        params.beta = 0.30;
-        params.gamma = 0.45;
-        params.setting = bu::Setting::kNoStickyGate;
-        return params;
-      }(),
-      bu::Utility::kRelativeRevenue);
-
-  mdp::SolverConfig serial_config;
-  serial_config.average_reward.tolerance = 1e-9;
-  const mdp::GainResult serial =
-      mdp::maximize_average_reward(model.model, serial_config);
-  ASSERT_TRUE(serial.converged());
-
-  mdp::SolverConfig parallel_config = serial_config;
-  parallel_config.threads = 4;
-  const mdp::GainResult parallel =
-      mdp::maximize_average_reward(model.model, parallel_config);
-  ASSERT_TRUE(parallel.converged());
-
-  // Gauss-Seidel (serial) and Jacobi (parallel) follow different sweep
-  // trajectories to the same optimum: gains agree to solver tolerance and
-  // the greedy policies coincide.
-  EXPECT_NEAR(parallel.gain, serial.gain, 1e-7);
-  EXPECT_EQ(parallel.policy, serial.policy);
-}
-
-TEST(ParallelVi, BitIdenticalAcrossParallelThreadCounts) {
-  const bu::AttackModel model = bu::build_attack_model(
-      small_params(0.20, 0.40, 0.40), bu::Utility::kRelativeRevenue);
-
-  mdp::SolverConfig config;
-  config.average_reward.tolerance = 1e-9;
-  config.threads = 2;
-  const mdp::GainResult two =
-      mdp::maximize_average_reward(model.model, config);
-  config.threads = 8;
-  const mdp::GainResult eight =
-      mdp::maximize_average_reward(model.model, config);
-
-  // The chunk partition depends only on (state count, chunk count) and the
-  // span reduction is exact, so EVERY parallel thread count produces the
-  // same bits.
-  EXPECT_EQ(two.gain, eight.gain);
-  EXPECT_EQ(two.iterations, eight.iterations);
-  EXPECT_EQ(two.policy, eight.policy);
-  ASSERT_EQ(two.bias.size(), eight.bias.size());
-  for (std::size_t s = 0; s < two.bias.size(); ++s) {
-    ASSERT_EQ(two.bias[s], eight.bias[s]) << "state " << s;
-  }
-}
-
 // --------------------------------------------- SolverConfig front door --
 
 TEST(SolverConfig, FrontDoorMatchesLegacyOverloads) {
@@ -311,7 +254,6 @@ TEST(SolverConfig, FrontDoorMatchesLegacyOverloads) {
   mdp::SolverConfig config;
   config.average_reward.tolerance = 1e-9;
   config.ratio.tolerance = 1e-6;
-  config.discounted.discount = 0.995;
   config.policy_iteration.max_improvements = 50;
 
   {
@@ -321,13 +263,6 @@ TEST(SolverConfig, FrontDoorMatchesLegacyOverloads) {
     EXPECT_EQ(front.gain, legacy.gain);
     EXPECT_EQ(front.policy, legacy.policy);
     EXPECT_EQ(front.iterations, legacy.iterations);
-  }
-  {
-    const mdp::DiscountedResult front = mdp::solve_discounted(model, config);
-    const mdp::DiscountedResult legacy =
-        mdp::solve_discounted(model, config.discounted_options());
-    EXPECT_EQ(front.value, legacy.value);
-    EXPECT_EQ(front.policy, legacy.policy);
   }
   {
     const mdp::PolicyIterationResult front =
@@ -348,24 +283,142 @@ TEST(SolverConfig, FrontDoorMatchesLegacyOverloads) {
   }
 }
 
-TEST(SolverConfig, ThreadsAndControlStampTheLoweredOptions) {
+TEST(SolverConfig, ControlStampsTheLoweredOptions) {
   mdp::SolverConfig config;
-  config.threads = 6;
   config.control.budget = robust::RunBudget::ticks(123);
 
   const mdp::AverageRewardKnobs avg = config.average_reward_options();
-  EXPECT_EQ(avg.threads, 6);
   EXPECT_EQ(avg.control.budget.max_ticks, 123);
 
   const mdp::RatioKnobs ratio = config.ratio_options();
-  EXPECT_EQ(ratio.inner.threads, 6);
   EXPECT_EQ(ratio.control.budget.max_ticks, 123);
   // The outer guard owns the budget; inner solves get the remaining wall
   // clock stamped at call time, not a second copy of the tick cap.
   EXPECT_TRUE(ratio.inner.control.budget.unlimited());
 
-  EXPECT_EQ(config.discounted_options().control.budget.max_ticks, 123);
   EXPECT_EQ(config.policy_iteration_options().control.budget.max_ticks, 123);
+}
+
+// ------------------------------------------------ cross-cell warm starts --
+
+bu::AttackModel small_attack_model() {
+  bu::AttackParams params;
+  params.alpha = 0.25;
+  params.beta = 0.30;
+  params.gamma = 0.45;
+  params.setting = bu::Setting::kNoStickyGate;
+  params.ad = 4;  // small grid keeps the test fast
+  return bu::build_attack_model(params, bu::Utility::kRelativeRevenue);
+}
+
+TEST(WarmStart, SeedNeverMovesTheFixedPoint) {
+  const bu::AttackModel attack = small_attack_model();
+  const mdp::CompiledModel compiled = mdp::CompiledModel::compile(attack.model);
+
+  mdp::RatioKnobs knobs;
+  knobs.upper_bound = 1.0;
+  mdp::RatioResult cold = mdp::maximize_ratio(compiled, knobs);
+  ASSERT_TRUE(cold.converged());
+  ASSERT_FALSE(cold.used_warm_start);
+  ASSERT_FALSE(cold.final_bias.empty());
+
+  knobs.warm_start_bias = &cold.final_bias;
+  const mdp::RatioResult warm = mdp::maximize_ratio(compiled, knobs);
+  ASSERT_TRUE(warm.converged());
+  EXPECT_TRUE(warm.used_warm_start);
+  EXPECT_NEAR(cold.ratio, warm.ratio, 10.0 * knobs.tolerance);
+  EXPECT_EQ(cold.policy, warm.policy);
+  // Seeding with the converged bias cannot make the solve work harder.
+  EXPECT_LE(warm.diagnostics.inner_rounds, cold.diagnostics.inner_rounds);
+}
+
+TEST(WarmStart, MismatchedSeedSizeIsIgnored) {
+  const bu::AttackModel attack = small_attack_model();
+  const std::vector<double> wrong_size(3, 1.0);
+  mdp::RatioKnobs knobs;
+  knobs.warm_start_bias = &wrong_size;
+  const mdp::RatioResult result = mdp::maximize_ratio(attack.model, knobs);
+  ASSERT_TRUE(result.converged());
+  EXPECT_FALSE(result.used_warm_start);
+}
+
+TEST(WarmStart, PoolNearestPrefersLowerIndexOnTies) {
+  mdp::WarmStartPool pool;
+  EXPECT_EQ(pool.nearest(0), nullptr);
+  pool.store(2, {2.0});
+  pool.store(10, {10.0});
+  pool.store(99, {});  // empty biases are ignored
+  EXPECT_EQ(pool.size(), 2u);
+
+  EXPECT_EQ(pool.nearest(0)->front(), 2.0);
+  EXPECT_EQ(pool.nearest(5)->front(), 2.0);
+  EXPECT_EQ(pool.nearest(6)->front(), 2.0);  // tie |6-2| == |10-6|
+  EXPECT_EQ(pool.nearest(7)->front(), 10.0);
+  EXPECT_EQ(pool.nearest(10)->front(), 10.0);
+  EXPECT_EQ(pool.nearest(500)->front(), 10.0);
+
+  pool.store(10, {11.0});  // overwrite
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.nearest(10)->front(), 11.0);
+}
+
+TEST(WarmStart, EstimateSweepsSaved) {
+  using Obs = std::pair<bool, std::int64_t>;
+  const std::vector<Obs> none;
+  EXPECT_EQ(mdp::estimate_rounds_saved(none), 0);
+
+  // mean cold = 15; the warm item at 5 saved ~10; a warm item slower than
+  // the cold mean contributes zero (clamped), not a negative.
+  const std::vector<Obs> mixed = {{false, 10}, {false, 20}, {true, 5}};
+  EXPECT_EQ(mdp::estimate_rounds_saved(mixed), 10);
+  const std::vector<Obs> slow_warm = {{false, 10}, {true, 50}};
+  EXPECT_EQ(mdp::estimate_rounds_saved(slow_warm), 0);
+  const std::vector<Obs> all_warm = {{true, 5}, {true, 6}};
+  EXPECT_EQ(mdp::estimate_rounds_saved(all_warm), 0);  // no cold baseline
+}
+
+TEST(WarmStart, BatchCountsSeededCellsAtOneThread) {
+  // A small alpha sweep: neighboring cells have similar biases. With
+  // threads == 1 cells run in index order, so every cell after the first
+  // is seeded by a finished neighbor.
+  std::vector<bu::AnalysisJob> jobs;
+  for (const double alpha : {0.15, 0.20, 0.25}) {
+    bu::AttackParams params;
+    params.alpha = alpha;
+    params.beta = 0.30;
+    params.gamma = 1.0 - alpha - 0.30;
+    params.setting = bu::Setting::kNoStickyGate;
+    params.ad = 4;
+    jobs.push_back({params, bu::Utility::kRelativeRevenue});
+  }
+
+  mdp::BatchConfig batch;
+  batch.threads = 1;
+  batch.warm_start = true;
+  mdp::BatchReport report;
+  const std::vector<bu::AnalysisResult> warm_results =
+      bu::analyze_batch(jobs, {}, batch, {}, &report);
+  ASSERT_EQ(warm_results.size(), jobs.size());
+  for (const bu::AnalysisResult& cell : warm_results) {
+    ASSERT_TRUE(cell.converged());
+    EXPECT_TRUE(cell.final_bias.empty());  // moved into the pool, kept lean
+  }
+  EXPECT_FALSE(warm_results[0].used_warm_start);
+  EXPECT_TRUE(warm_results[1].used_warm_start);
+  EXPECT_TRUE(warm_results[2].used_warm_start);
+  EXPECT_EQ(report.items_warm_started, 2u);
+  EXPECT_GE(report.rounds_saved_estimate, 0);
+
+  // The warm values equal the cold values within solver tolerance.
+  mdp::BatchConfig cold_batch;
+  cold_batch.threads = 1;
+  const std::vector<bu::AnalysisResult> cold_results =
+      bu::analyze_batch(jobs, {}, cold_batch);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_FALSE(cold_results[i].used_warm_start);
+    EXPECT_NEAR(cold_results[i].utility_value, warm_results[i].utility_value,
+                1e-4);
+  }
 }
 
 }  // namespace

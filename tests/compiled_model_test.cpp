@@ -1,4 +1,4 @@
-// Equivalence of the CompiledModel SoA kernel layer with the Model (AoS)
+// Equivalence of the CompiledModel SoA layout with the Model (AoS)
 // representation it compiles: structural fidelity, bit-identical solver
 // results through both overload families, and bit-identical raw sweeps
 // against an in-test replica of the seed's AoS Gauss-Seidel backup loop.
@@ -13,7 +13,6 @@
 #include "bu/attack_model.hpp"
 #include "mdp/average_reward.hpp"
 #include "mdp/compiled_model.hpp"
-#include "mdp/discounted.hpp"
 #include "mdp/model.hpp"
 #include "mdp/policy_iteration.hpp"
 #include "mdp/ratio.hpp"
@@ -80,23 +79,12 @@ TEST(CompiledModel, MirrorsModelStructure) {
         EXPECT_EQ(compiled.prob()[k], outcome.probability);
         EXPECT_EQ(compiled.reward()[k], outcome.reward);
         EXPECT_EQ(compiled.weight()[k], outcome.weight);
-        // The damped column is exactly tau * p (the kernel-bench layout).
-        EXPECT_EQ(compiled.damped_prob()[k],
-                  compiled.compiled_tau() * outcome.probability);
         ++k;
       }
       total_outcomes += outcomes.size();
     }
   }
   EXPECT_EQ(compiled.num_outcomes(), total_outcomes);
-}
-
-TEST(CompiledModel, RejectsBadTau) {
-  const bu::AttackModel attack = setting1_model();
-  EXPECT_THROW((void)mdp::CompiledModel::compile(attack.model, 0.0),
-               std::exception);
-  EXPECT_THROW((void)mdp::CompiledModel::compile(attack.model, 1.5),
-               std::exception);
 }
 
 // ---- raw sweep equivalence vs an AoS reference replica --------------------
@@ -251,23 +239,9 @@ TEST(CompiledModel, RatioResultBitIdenticalBtc) {
   expect_ratio_equivalence(btc_model().model, 1.0);
 }
 
-TEST(CompiledModel, DiscountedAndPolicyIterationBitIdentical) {
+TEST(CompiledModel, PolicyIterationBitIdentical) {
   const mdp::Model& model = setting1_model().model;
   const mdp::CompiledModel compiled = mdp::CompiledModel::compile(model);
-
-  mdp::SolverConfig discounted_config;
-  discounted_config.discounted.discount = 0.95;
-  const mdp::DiscountedResult da =
-      mdp::solve_discounted(model, discounted_config);
-  const mdp::DiscountedResult db =
-      mdp::solve_discounted(compiled, discounted_config);
-  EXPECT_EQ(da.status, db.status);
-  EXPECT_EQ(da.iterations, db.iterations);
-  ASSERT_EQ(da.value.size(), db.value.size());
-  for (std::size_t i = 0; i < da.value.size(); ++i) {
-    ASSERT_EQ(da.value[i], db.value[i]);
-  }
-  EXPECT_EQ(da.policy.action, db.policy.action);
 
   const mdp::SolverConfig howard;
   const mdp::PolicyIterationResult pa = mdp::policy_iteration(model, howard);

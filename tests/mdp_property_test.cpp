@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "mdp/average_reward.hpp"
-#include "mdp/discounted.hpp"
 #include "mdp/model.hpp"
 #include "mdp/ratio.hpp"
 #include "mdp/solver_config.hpp"
@@ -155,17 +154,6 @@ TEST_P(SolverVsBruteForce, PolicyEvaluationMatchesPowerIteration) {
   const PolicyGains gains = evaluate_policy_average(model, policy);
   EXPECT_NEAR(gains.reward_rate, reward, 1e-6);
   EXPECT_NEAR(gains.weight_rate, weight, 1e-6);
-}
-
-TEST_P(SolverVsBruteForce, DiscountedLimitApproachesGain) {
-  Rng rng(GetParam() ^ 0xD15C);
-  const Model model = random_model(rng, 3, 2);
-  SolverConfig config;
-  config.discounted.discount = 0.99995;
-  const DiscountedResult discounted = solve_discounted(model, config);
-  const GainResult average = maximize_average_reward(model);
-  EXPECT_NEAR((1.0 - config.discounted.discount) * discounted.value[0], average.gain,
-              2e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, SolverVsBruteForce,

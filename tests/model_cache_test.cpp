@@ -3,6 +3,7 @@
 // under the `parallel` ctest label; the sharing test is the TSan target).
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -419,8 +420,7 @@ TEST_F(ModelCacheDiskTier, CorruptFileFallsBackToCompile) {
 }
 
 TEST(CompiledModelSerialization, RoundTripIsBitIdentical) {
-  const auto original =
-      mdp::CompiledModel::compile_shared(chain_model(5), /*tau=*/0.875);
+  const auto original = mdp::CompiledModel::compile_shared(chain_model(5));
   std::stringstream buffer;
   original->serialize(buffer);
   const auto restored = mdp::CompiledModel::deserialize(buffer);
@@ -428,12 +428,10 @@ TEST(CompiledModelSerialization, RoundTripIsBitIdentical) {
   ASSERT_EQ(restored->num_states(), original->num_states());
   ASSERT_EQ(restored->num_state_actions(), original->num_state_actions());
   ASSERT_EQ(restored->num_outcomes(), original->num_outcomes());
-  EXPECT_EQ(restored->compiled_tau(), original->compiled_tau());
   EXPECT_EQ(restored->bytes_resident(), original->bytes_resident());
   for (std::size_t i = 0; i < original->num_outcomes(); ++i) {
     ASSERT_EQ(restored->next()[i], original->next()[i]);
     ASSERT_EQ(restored->prob()[i], original->prob()[i]);
-    ASSERT_EQ(restored->damped_prob()[i], original->damped_prob()[i]);
     ASSERT_EQ(restored->reward()[i], original->reward()[i]);
     ASSERT_EQ(restored->weight()[i], original->weight()[i]);
   }
@@ -454,6 +452,123 @@ TEST(CompiledModelSerialization, TruncatedStreamIsRejected) {
     EXPECT_EQ(mdp::CompiledModel::deserialize(truncated), nullptr)
         << "accepted a stream truncated to " << keep << " bytes";
   }
+}
+
+/// Offset of the `occurrence`-th index column holding exactly {0, 1, 2}
+/// (u64 count 3, then three size_t offsets) in a serialized two-state,
+/// one-action-per-state, one-outcome-per-action model: occurrence 0 is
+/// state_begin, occurrence 1 is outcome_begin. Found by content rather than
+/// by a hard-coded header size.
+std::size_t find_index_column(const std::string& bytes, int occurrence) {
+  std::string pattern;
+  const auto append = [&pattern](auto value) {
+    pattern.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(std::uint64_t{3});
+  for (const std::size_t offset : {0, 1, 2}) {
+    append(offset);
+  }
+  std::size_t at = bytes.find(pattern);
+  for (int i = 0; i < occurrence && at != std::string::npos; ++i) {
+    at = bytes.find(pattern, at + 1);
+  }
+  return at;
+}
+
+TEST(CompiledModelSerialization, EmptyStateOrActionIsRejected) {
+  std::stringstream buffer;
+  mdp::CompiledModel::compile_shared(tiny_model())->serialize(buffer);
+  const std::string full = buffer.str();
+  // occurrence 0: state 0 loses its action (state_begin {0, 0, 2});
+  // occurrence 1: action 0 loses its outcome (outcome_begin {0, 0, 2}).
+  for (const int occurrence : {0, 1}) {
+    const std::size_t column = find_index_column(full, occurrence);
+    ASSERT_NE(column, std::string::npos) << "occurrence " << occurrence;
+    std::string corrupt = full;
+    const std::size_t zero = 0;
+    corrupt.replace(column + sizeof(std::uint64_t) + sizeof(std::size_t),
+                    sizeof(zero), reinterpret_cast<const char*>(&zero),
+                    sizeof(zero));
+    std::stringstream in(corrupt);
+    EXPECT_EQ(mdp::CompiledModel::deserialize(in), nullptr)
+        << "accepted an empty " << (occurrence == 0 ? "state" : "action");
+  }
+}
+
+/// Writes `model` in the earlier disk layout ("BVCM" magic, a tau field
+/// and a tau * prob column after prob), behind the cache's key header.
+void write_old_layout_file(const std::string& path, const std::string& key,
+                           const mdp::CompiledModel& model) {
+  std::ofstream out(path, std::ios::binary);
+  const auto pod = [&out](auto value) {
+    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const auto column = [&](const auto& values) {
+    pod(static_cast<std::uint64_t>(values.size()));
+    for (const auto value : values) {
+      pod(value);
+    }
+  };
+  pod(std::uint32_t{0x4b435642});  // "BVCK" cache file header
+  pod(static_cast<std::uint64_t>(key.size()));
+  out.write(key.data(), static_cast<std::streamsize>(key.size()));
+  const double tau = 0.999;
+  pod(std::uint32_t{0x4d435642});  // "BVCM"
+  pod(static_cast<std::uint32_t>(
+      (sizeof(mdp::StateId) << 0) | (sizeof(mdp::ActionLabel) << 8) |
+      (sizeof(mdp::SaIndex) << 16) | (sizeof(std::size_t) << 24)));
+  pod(tau);
+  const std::size_t num_sa = model.num_state_actions();
+  const std::size_t num_outcomes = model.num_outcomes();
+  std::vector<mdp::SaIndex> state_begin;
+  for (mdp::StateId s = 0; s <= model.num_states(); ++s) {
+    state_begin.push_back(model.state_begin(s));
+  }
+  std::vector<mdp::ActionLabel> labels;
+  std::vector<std::size_t> outcome_begin;
+  std::vector<double> expected_reward;
+  std::vector<double> expected_weight;
+  for (mdp::SaIndex sa = 0; sa < num_sa; ++sa) {
+    labels.push_back(model.action_label(sa));
+    outcome_begin.push_back(model.outcome_begin(sa));
+    expected_reward.push_back(model.expected_reward(sa));
+    expected_weight.push_back(model.expected_weight(sa));
+  }
+  outcome_begin.push_back(num_outcomes);
+  const auto outcome_column = [&](const auto* values) {
+    return std::vector(values, values + num_outcomes);
+  };
+  std::vector<double> damped = outcome_column(model.prob());
+  for (double& p : damped) {
+    p *= tau;
+  }
+  column(state_begin);
+  column(labels);
+  column(outcome_begin);
+  column(outcome_column(model.next()));
+  column(outcome_column(model.prob()));
+  column(damped);
+  column(outcome_column(model.reward()));
+  column(outcome_column(model.weight()));
+  column(expected_reward);
+  column(expected_weight);
+}
+
+TEST_F(ModelCacheDiskTier, OldLayoutFileFallsBackToCompile) {
+  const std::string path = mdp::ModelCache::disk_path(dir_, "k");
+  write_old_layout_file(path, "k",
+                        mdp::CompiledModel::compile(chain_model(8)));
+  mdp::ModelCache cache;
+  cache.set_disk_tier(dir_);
+  int builds = 0;
+  const auto model = cache.get_or_compile("k", [&] {
+    ++builds;
+    return mdp::CompiledModel::compile_shared(chain_model(8));
+  });
+  EXPECT_EQ(builds, 1);  // the old layout is rejected, not misread
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
+  ASSERT_NE(model, nullptr);
+  EXPECT_EQ(model->num_states(), 8u);
 }
 
 TEST(ModelCache, GlobalCacheServesTheModelBuilders) {
