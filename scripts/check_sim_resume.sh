@@ -10,6 +10,10 @@
 #      with exactly the replicas that finished;
 #   3. resuming from that journal replays the finished replicas and
 #      computes the rest — stdout must be BYTE-IDENTICAL to the baseline;
+#   3b. the killed journal with its last line cut in half (a torn write,
+#      no final newline) resumes to the same stdout and leaves a journal
+#      of all 45 replicas, each converged: no appended line may be glued
+#      onto the torn fragment;
 #   4. a sharded run (--shards 2) with a crash-injected worker is restarted
 #      by the supervisor and again reproduces the baseline byte for byte;
 #   5. the same SIGKILL -> --resume round trip holds at topology scale: a
@@ -57,6 +61,7 @@ replicas=$(wc -l <"$out/ck.jsonl")
   echo "check_sim_resume.sh: journal has $replicas replicas, expected 7" >&2
   exit 1
 }
+cp "$out/ck.jsonl" "$out/crashed-ck.jsonl"  # kept for leg 3b
 
 # 3. Resume: the 7 journaled replicas replay (sim_restore), the rest
 # compute; stdout must be byte-identical to the uninterrupted baseline.
@@ -71,6 +76,32 @@ grep -q "7 cells resumed" "$out/resumed.err" || {
   cat "$out/resumed.err" >&2
   exit 1
 }
+
+# 3b. Torn tail: cut the last of the 7 killed-run lines in half, with no
+# newline, and resume. 6 replicas replay, 39 compute, and every appended
+# line must start on a line of its own.
+head -n 6 "$out/crashed-ck.jsonl" >"$out/torn.jsonl"
+last="$(tail -n 1 "$out/crashed-ck.jsonl")"
+printf '%s' "${last:0:${#last}/2}" >>"$out/torn.jsonl"
+"$bench" "${flags[@]}" --checkpoint "$out/torn.jsonl" --resume \
+  >"$out/torn.txt" 2>"$out/torn.err"
+diff -u "$out/baseline.txt" "$out/torn.txt" || {
+  echo "check_sim_resume.sh: torn-tail resume differs from baseline" >&2
+  exit 1
+}
+
+python3 - "$out/torn.jsonl" <<'EOF'
+import json, sys
+
+lines = open(sys.argv[1]).read().splitlines()
+records = [json.loads(line) for line in lines]
+keys = {record["key"] for record in records}
+assert len(lines) == 45 and len(keys) == 45, \
+    f"torn-tail journal: {len(lines)} lines, {len(keys)} keys, expected 45"
+assert all(r["status"] == "converged" for r in records), \
+    "torn-tail journal holds a replica that did not converge"
+print("check_sim_resume: torn-tail resume journaled 45 converged replicas")
+EOF
 
 # 4. Sharded campaign with a crash-injected worker: shard 0's first
 # incarnation dies after 3 replicas; the supervisor restarts it and the
@@ -130,4 +161,4 @@ grep -q "5 cells resumed" "$out/big-resumed.err" || {
   exit 1
 }
 
-echo "check_sim_resume.sh: OK (resume, sharded, and 1000-node campaigns byte-identical)"
+echo "check_sim_resume.sh: OK (resume, torn-tail, sharded, and 1000-node campaigns byte-identical)"

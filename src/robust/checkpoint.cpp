@@ -10,7 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <unordered_set>
 
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
@@ -166,7 +167,8 @@ std::optional<RunStatus> status_from_string(std::string_view text) {
   return std::nullopt;
 }
 
-/// Writes `content` to `path` atomically: <path>.tmp + fsync + rename.
+/// Writes `content` to `path` atomically: <path>.tmp + fsync + rename
+/// (merge_journals' one-shot output).
 bool write_file_atomically(const std::string& path,
                            const std::string& content) {
   const std::string tmp = path + ".tmp";
@@ -339,29 +341,49 @@ CrashPlan crash_plan_from_env() {
 CheckpointJournal::CheckpointJournal(std::string path, Options options)
     : path_(std::move(path)), options_(options) {
   BVC_REQUIRE(!path_.empty(), "CheckpointJournal needs a non-empty path");
-  if (options_.fsync_batch == 0) {
-    options_.fsync_batch = 1;
-  }
 }
 
-CheckpointJournal::~CheckpointJournal() { flush(); }
+CheckpointJournal::~CheckpointJournal() {
+  flush();
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+}
 
 std::size_t CheckpointJournal::load() {
   if (!enabled()) {
     return 0;
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::ifstream in(path_);
+  loaded_ = true;
+  std::ifstream in(path_, std::ios::binary);
   if (!in) {
     return 0;  // no journal yet: fresh sweep
   }
+  const std::string content{std::istreambuf_iterator<char>(in), {}};
   std::size_t loaded = 0;
-  std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t begin = 0; begin < content.size();) {
+    std::size_t end = content.find('\n', begin);
+    const bool terminated = end != std::string::npos;
+    if (!terminated) {
+      end = content.size();
+    }
+    const std::string_view line(content.data() + begin, end - begin);
+    const std::size_t line_begin = begin;
+    begin = end + 1;
     if (line.empty()) {
       continue;
     }
     std::optional<CheckpointRecord> record = parse_jsonl_line(line);
+    if (!terminated) {
+      // The file ends mid-line: a torn fragment is cut off before the
+      // first write, a complete record only gets its missing newline.
+      if (record) {
+        terminate_tail_ = true;
+      } else {
+        cut_to_ = line_begin;
+      }
+    }
     if (!record) {
       ++skipped_lines_;
       continue;
@@ -417,7 +439,10 @@ void CheckpointJournal::append(CheckpointRecord record) {
   if (!enabled()) {
     return;
   }
+  std::string line = to_jsonl(record);
+  line += '\n';
   const std::lock_guard<std::mutex> lock(mutex_);
+  unflushed_ += line;
   const auto [it, inserted] =
       index_.try_emplace(record.key, records_.size());
   if (inserted) {
@@ -426,10 +451,7 @@ void CheckpointJournal::append(CheckpointRecord record) {
     records_[it->second] = std::move(record);
   }
   ++appended_;
-  ++unflushed_;
-  if (unflushed_ >= options_.fsync_batch) {
-    flush_locked();
-  }
+  flush_locked();
   if (options_.crash.armed_for(options_.shard_index) &&
       appended_ >= options_.crash.crash_after_appends) {
     flush_locked();  // the journal the next run resumes from is complete
@@ -459,26 +481,69 @@ bool CheckpointJournal::flush() {
   return flush_locked();
 }
 
-bool CheckpointJournal::flush_locked() {
-  if (unflushed_ == 0) {
-    return !write_failed_;
+bool CheckpointJournal::open_locked() {
+  if (fd_ >= 0) {
+    return true;
   }
-  std::string content;
-  for (const CheckpointRecord& record : records_) {
-    content += to_jsonl(record);
-    content += '\n';
-  }
-  if (!write_file_atomically(path_, content)) {
-    if (!write_failed_) {
-      obs::log_error("checkpoint",
-                     "cannot write journal; continuing without durability",
-                     {{"path", path_}, {"error", std::strerror(errno)}});
-      write_failed_ = true;
-    }
+  const int flags =
+      O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC | (loaded_ ? 0 : O_TRUNC);
+  fd_ = ::open(path_.c_str(), flags, 0644);
+  if (fd_ < 0) {
     return false;
   }
-  unflushed_ = 0;
+  if (cut_to_ != kNoCut) {
+    if (::ftruncate(fd_, static_cast<off_t>(cut_to_)) != 0) {
+      const int error = errno;
+      ::close(fd_);
+      fd_ = -1;
+      errno = error;
+      return false;
+    }
+    cut_to_ = kNoCut;
+  }
+  if (terminate_tail_) {
+    unflushed_.insert(0, 1, '\n');
+    terminate_tail_ = false;
+  }
   return true;
+}
+
+bool CheckpointJournal::flush_locked() {
+  if (unflushed_.empty() && !unsynced_) {
+    return true;
+  }
+  bool ok = open_locked();
+  std::size_t written = 0;
+  while (ok && written < unflushed_.size()) {
+    const ssize_t wrote = ::write(fd_, unflushed_.data() + written,
+                                  unflushed_.size() - written);
+    if (wrote <= 0) {
+      ok = wrote < 0 && errno == EINTR;
+      continue;
+    }
+    written += static_cast<std::size_t>(wrote);
+    unsynced_ = true;
+  }
+  // Only the bytes that reached the file leave the buffer: a retry resumes
+  // mid-line instead of writing any line twice.
+  unflushed_.erase(0, written);
+  if (written > 0 && obs::metrics_enabled()) {
+    static obs::Counter& bytes_written =
+        obs::MetricsRegistry::global().counter(
+            "robust.checkpoint.bytes_written");
+    bytes_written.add(written);
+  }
+  if (ok && unsynced_) {
+    ok = ::fdatasync(fd_) == 0;
+    unsynced_ = !ok;
+  }
+  if (!ok && !write_failed_) {
+    obs::log_error("checkpoint",
+                   "cannot write journal; continuing without durability",
+                   {{"path", path_}, {"error", std::strerror(errno)}});
+    write_failed_ = true;
+  }
+  return ok;
 }
 
 std::size_t CheckpointJournal::size() const {
@@ -500,13 +565,17 @@ MergeReport merge_journals(std::span<const std::string> shard_paths,
                            const std::string& out_path) {
   MergeReport report;
   std::string content;
-  std::unordered_map<std::string, bool> seen;
+  std::unordered_set<std::string> seen;
   for (const std::string& path : shard_paths) {
     std::ifstream in(path);
     if (!in) {
       continue;  // a shard that never completed a cell has no journal
     }
     ++report.inputs;
+    // (key, line) in first-occurrence order; a recomputed cell's later
+    // line replaces its earlier one, as in load().
+    std::vector<std::pair<std::string, std::string>> lines;
+    std::unordered_map<std::string, std::size_t> position;
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) {
@@ -517,12 +586,22 @@ MergeReport merge_journals(std::span<const std::string> shard_paths,
         ++report.malformed_lines;
         continue;
       }
-      if (!seen.try_emplace(record->key, true).second) {
+      const auto [it, inserted] =
+          position.try_emplace(record->key, lines.size());
+      if (inserted) {
+        lines.emplace_back(std::move(record->key), std::move(line));
+      } else {
         ++report.duplicates;
-        continue;  // first occurrence wins
+        lines[it->second].second = std::move(line);
+      }
+    }
+    for (auto& [key, kept] : lines) {
+      if (!seen.insert(std::move(key)).second) {
+        ++report.duplicates;
+        continue;  // an earlier journal holds this key
       }
       ++report.records;
-      content += line;
+      content += kept;
       content += '\n';
     }
   }

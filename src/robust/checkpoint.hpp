@@ -9,25 +9,31 @@
 //
 // Durability protocol (docs/ROBUSTNESS.md §6):
 //
-//   * Appends are buffered in memory and flushed every `fsync_batch`
-//     records (default 1: every cell is durable the moment its append
-//     returns). A flush serializes the ENTIRE journal to `<path>.tmp`,
-//     fsyncs it, and renames it over `<path>` — readers therefore never
-//     observe a torn line, and a crash at any instant leaves either the
-//     previous journal or the new one, both well-formed. Journals are
-//     small (one short line per cell), so the rewrite is cheap next to the
-//     seconds-long solves it checkpoints.
-//   * load() additionally tolerates journals written by foreign tools or a
-//     pre-rename crash of the raw-append kind: malformed lines are counted
-//     and skipped, never fatal — a half-usable journal resumes half the
-//     sweep instead of none of it.
+//   * The journal file is an append-only log. append() serializes only the
+//     new record and writes its line with one write() on a descriptor
+//     opened O_APPEND, then fdatasync()s it: every cell is durable the
+//     moment its append returns, and a campaign of n cells writes O(n)
+//     bytes. A failed or short write keeps the unwritten bytes pending and
+//     retries them at the next append() or flush(), so the file never
+//     holds a line twice.
+//   * The descriptor opens lazily at the first write, so a journal that
+//     only load()s (a daemon replaying a finished job) never opens its
+//     file for writing. A journal on which load() ran appends to the file
+//     it loaded, first cutting an unterminated torn tail (which load()
+//     counted as skipped) back to the last newline so the next line is
+//     not glued onto it. A journal on which load() did not run truncates
+//     the file: a fresh sweep starts from an empty journal.
+//   * load() tolerates journals written by foreign tools or a crash
+//     mid-write: malformed lines are counted and skipped, never fatal — a
+//     half-usable journal resumes half the sweep instead of none of it.
+//     A recomputed cell can appear twice; the last line wins.
 //   * Only SUCCESSFUL cells are journaled (the checkpointed batch engine
 //     enforces this): a resumed sweep retries failed or skipped cells
 //     rather than replaying their failure.
 //
 // Deterministic crash injection: Options::crash_after_appends kills the
 // process (SIGKILL, as an external OOM killer would) after the Nth append,
-// AFTER that append's flush. crash_plan_from_env() reads the hook from
+// AFTER that append's write. crash_plan_from_env() reads the hook from
 //   BVC_CRASH_AFTER_CELLS=<N>   (0/unset disables)
 //   BVC_CRASH_SHARD=<i>         (optional: only shard i crashes)
 // so tests and the shard supervisor can stage a kill-mid-sweep → resume →
@@ -90,12 +96,8 @@ struct CrashPlan {
 /// Journal knobs (namespace-scope so `= {}` default arguments work — a
 /// nested class's member initializers are late-parsed).
 struct JournalOptions {
-  /// Flush (serialize + fsync + rename) every N appends. 1 = every cell
-  /// durable immediately; larger values batch the fsync cost at the price
-  /// of recomputing up to N-1 cells after a crash.
-  std::size_t fsync_batch = 1;
-  /// Crash injection, applied at append time (after the flush the append
-  /// triggered, so the journal the next run resumes from is well-formed).
+  /// Crash injection, applied at append time (after the append's write, so
+  /// the journal the next run resumes from is well-formed).
   CrashPlan crash;
   /// This process's shard index for CrashPlan::only_shard matching
   /// (-1 for unsharded runs and the supervisor itself).
@@ -113,7 +115,8 @@ class CheckpointJournal {
   CheckpointJournal(const CheckpointJournal&) = delete;
   CheckpointJournal& operator=(const CheckpointJournal&) = delete;
 
-  /// Flushes any buffered records (errors already reported on stderr).
+  /// Retries any pending bytes and closes the file (errors already
+  /// reported on stderr).
   ~CheckpointJournal();
 
   [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
@@ -122,7 +125,7 @@ class CheckpointJournal {
   /// Loads the journal file into the in-memory index (duplicate keys: last
   /// record wins). Missing file is an empty journal, not an error. Returns
   /// the number of records loaded; malformed lines are skipped and counted
-  /// in skipped_lines().
+  /// in skipped_lines(). Later appends extend the loaded file.
   std::size_t load();
 
   [[nodiscard]] bool contains(const std::string& key) const;
@@ -135,13 +138,13 @@ class CheckpointJournal {
       const std::string& key) const;
 
   /// Records a completed cell (thread-safe; batch workers call this
-  /// concurrently). The record joins the in-memory index immediately and
-  /// becomes durable at the next flush (every fsync_batch appends).
+  /// concurrently). The record joins the in-memory index and its line is
+  /// written and data-synced before the call returns.
   void append(CheckpointRecord record);
 
-  /// Serialize + fsync + rename now (no-op when nothing is buffered since
-  /// the last flush). Returns false when the write failed (reported once on
-  /// stderr; the sweep continues — checkpointing degrades, work goes on).
+  /// Retries bytes a failed write left pending (no-op when none are).
+  /// Returns false when the write failed (reported once on stderr; the
+  /// sweep continues — checkpointing degrades, work goes on).
   bool flush();
 
   [[nodiscard]] std::size_t size() const;
@@ -150,6 +153,9 @@ class CheckpointJournal {
 
  private:
   bool flush_locked();
+  bool open_locked();
+
+  static constexpr std::size_t kNoCut = static_cast<std::size_t>(-1);
 
   std::string path_;
   Options options_;
@@ -158,8 +164,16 @@ class CheckpointJournal {
   std::vector<CheckpointRecord> records_;
   std::unordered_map<std::string, std::size_t> index_;
   std::size_t appended_ = 0;
-  std::size_t unflushed_ = 0;
   std::size_t skipped_lines_ = 0;
+  /// Serialized lines not yet written (a failed or short write keeps them).
+  std::string unflushed_;
+  bool unsynced_ = false;  ///< bytes written since the last fdatasync
+  int fd_ = -1;            ///< opened at the first write
+  bool loaded_ = false;    ///< load() ran: append to the file, never truncate
+  /// Torn-tail repair made when the file opens: the size to cut it back
+  /// to, or a newline to terminate a well-formed last line.
+  std::size_t cut_to_ = kNoCut;
+  bool terminate_tail_ = false;
   bool write_failed_ = false;  ///< report the first failure only
 };
 
@@ -171,9 +185,9 @@ struct MergeReport {
   std::size_t malformed_lines = 0; ///< skipped while loading inputs
 };
 
-/// Combines per-shard journals into `out_path` (atomic write-then-rename;
-/// first occurrence of a key wins, input order = shard order then line
-/// order). The output is itself a valid journal, so the merged sweep can be
+/// Combines per-shard journals into `out_path` (atomic write-then-rename).
+/// Within one journal the last line of a key wins, as in load(); across
+/// journals the first journal (shard order) wins. The output is itself a valid journal, so the merged sweep can be
 /// resumed or re-rendered from it.
 MergeReport merge_journals(std::span<const std::string> shard_paths,
                            const std::string& out_path);

@@ -29,6 +29,12 @@ HttpResponse error_response(int status, std::string message) {
       status, Json::object().set("error", Json::string(std::move(message))));
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 /// One finished cell as wire JSON. `values` is an array of [name, value]
 /// pairs, NOT an object: checkpoint records may repeat a name (the voting
 /// trace stores one "limit_per_epoch" entry per epoch) and order matters.
@@ -321,10 +327,7 @@ HttpResponse SolveService::job_status(const std::string& id,
     // reflects real solve throughput.
     const bool running = job.state == JobState::kRunning;
     const double elapsed =
-        running ? std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - job.started_at)
-                      .count()
-                : job.run_seconds;
+        running ? seconds_since(job.started_at) : job.run_seconds;
     const double solved =
         static_cast<double>(job.completed) - static_cast<double>(job.resumed);
     const double rate = elapsed > 0.0 ? solved / elapsed : 0.0;
@@ -558,12 +561,14 @@ void SolveService::run_job(Job* job) {
       const std::lock_guard<std::mutex> lock(mutex_);
       job->state = job->cancel.cancel_requested() ? JobState::kCancelled
                                                   : JobState::kDone;
+      job->run_seconds = seconds_since(job->started_at);
       persist_index_locked();
     }
   } catch (const std::exception& e) {
     const std::lock_guard<std::mutex> lock(mutex_);
     job->state = JobState::kFailed;
     job->failure = e.what();
+    job->run_seconds = seconds_since(job->started_at);
     persist_index_locked();
   }
   {
@@ -573,9 +578,6 @@ void SolveService::run_job(Job* job) {
     std::size_t completed = 0;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      job->run_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - job->started_at)
-                             .count();
       run_seconds = job->run_seconds;
       terminal_state = job->state;
       completed = job->completed;

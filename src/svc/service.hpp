@@ -36,9 +36,11 @@
 // job: id + verbatim spec body + terminal-state flag) is rewritten
 // atomically on every mutation, and each job's finished cells live in a
 // per-job robust::CheckpointJournal (`job-<id>.cells.jsonl`) written by
-// the same batch checkpoint layer the bench sweeps use. A restarted
-// daemon reloads the index, replays each journal, and RESUMES incomplete
-// jobs — finished cells restore in microseconds, the rest re-solve. The
+// the same batch checkpoint layer the bench sweeps use: one appended,
+// data-synced line per finished cell. A restarted daemon reloads the
+// index, replays each journal (read-only: a finished job's journal is
+// never reopened for writing), and RESUMES incomplete jobs — finished
+// cells restore in microseconds, the rest re-solve. The
 // journal honors BVC_CRASH_AFTER_CELLS, so the kill-mid-grid -> restart ->
 // identical-results scenario is testable end to end.
 //

@@ -7,7 +7,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "counter/voting_simulation.hpp"
 #include "mdp/batch.hpp"
 #include "mdp/model_cache.hpp"
+#include "obs/metrics.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/retry.hpp"
 #include "robust/run_control.hpp"
@@ -36,6 +39,15 @@ std::string temp_path(const std::string& name) {
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
   return path;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const std::string& path, const std::string& content) {
+  std::ofstream(path, std::ios::binary) << content;
 }
 
 CheckpointRecord make_record(std::string key, double value) {
@@ -145,21 +157,107 @@ TEST(CheckpointJournal, DisabledJournalIsInert) {
   EXPECT_FALSE(journal.contains("a"));
 }
 
-TEST(CheckpointJournal, FsyncBatchBuffersUntilThreshold) {
-  const std::string path = temp_path("fsync_batch.jsonl");
-  robust::JournalOptions options;
-  options.fsync_batch = 3;
-  CheckpointJournal journal(path, options);
+TEST(CheckpointJournal, AppendIsDurableOnReturn) {
+  const std::string path = temp_path("durable.jsonl");
+  CheckpointJournal journal(path);
   journal.append(make_record("a", 1.0));
   journal.append(make_record("b", 2.0));
-  // Two appends < fsync_batch: nothing durable yet.
-  EXPECT_FALSE(std::ifstream(path).good());
-  // The in-memory index still serves resumes immediately.
-  EXPECT_TRUE(journal.contains("b"));
+  CheckpointJournal reader(path);  // the writer is still open
+  EXPECT_EQ(reader.load(), 2u);
+  EXPECT_EQ(read_file(path), to_jsonl(make_record("a", 1.0)) + '\n' +
+                                 to_jsonl(make_record("b", 2.0)) + '\n');
+}
 
-  journal.append(make_record("c", 3.0));  // third append triggers the flush
-  CheckpointJournal reader(path);
-  EXPECT_EQ(reader.load(), 3u);
+TEST(CheckpointJournal, AppendAfterTornTailStartsOnAFreshLine) {
+  const std::string path = temp_path("torn_tail.jsonl");
+  const std::string torn = to_jsonl(make_record("torn", 3.0));
+  write_file(path, to_jsonl(make_record("a", 1.0)) + '\n' +
+                       to_jsonl(make_record("b", 2.0)) + '\n' +
+                       torn.substr(0, torn.size() / 2));
+  {
+    CheckpointJournal journal(path);
+    EXPECT_EQ(journal.load(), 2u);
+    EXPECT_EQ(journal.skipped_lines(), 1u);
+    journal.append(make_record("c", 4.0));
+  }
+  CheckpointJournal reloaded(path);
+  EXPECT_EQ(reloaded.load(), 3u);
+  EXPECT_EQ(reloaded.skipped_lines(), 0u);
+  EXPECT_TRUE(reloaded.contains("c"));
+}
+
+TEST(CheckpointJournal, AppendAfterUnterminatedRecordKeepsIt) {
+  const std::string path = temp_path("unterminated.jsonl");
+  write_file(path, to_jsonl(make_record("a", 1.0)));  // no final newline
+  {
+    CheckpointJournal journal(path);
+    EXPECT_EQ(journal.load(), 1u);
+    journal.append(make_record("b", 2.0));
+  }
+  CheckpointJournal reloaded(path);
+  EXPECT_EQ(reloaded.load(), 2u);
+  EXPECT_EQ(reloaded.skipped_lines(), 0u);
+}
+
+TEST(CheckpointJournal, AppendWithoutLoadTruncatesTheFile) {
+  const std::string path = temp_path("no_load.jsonl");
+  write_file(path, to_jsonl(make_record("foreign", 1.0)) + '\n');
+  {
+    CheckpointJournal journal(path);
+    journal.append(make_record("fresh", 2.0));
+  }
+  CheckpointJournal reloaded(path);
+  EXPECT_EQ(reloaded.load(), 1u);
+  EXPECT_TRUE(reloaded.contains("fresh"));
+  EXPECT_FALSE(reloaded.contains("foreign"));
+}
+
+TEST(CheckpointJournal, ReadOnlyJournalLeavesTheFileUntouched) {
+  const std::string path = temp_path("read_only.jsonl");
+  const std::string torn = to_jsonl(make_record("torn", 3.0));
+  const std::string content = to_jsonl(make_record("a", 1.0)) + '\n' +
+                              torn.substr(0, torn.size() / 2);
+  write_file(path, content);
+  {
+    CheckpointJournal journal(path);
+    EXPECT_EQ(journal.load(), 1u);
+    EXPECT_TRUE(journal.flush());
+  }
+  EXPECT_EQ(read_file(path), content);
+}
+
+TEST(CheckpointJournal, BytesWrittenEqualTheFileSize) {
+  const std::string path = temp_path("bytes_written.jsonl");
+  obs::set_metrics_enabled(true);
+  const obs::Counter& bytes = obs::MetricsRegistry::global().counter(
+      "robust.checkpoint.bytes_written");
+  const std::uint64_t before = bytes.value();
+  {
+    CheckpointJournal journal(path);
+    for (int i = 0; i < 50; ++i) {
+      journal.append(make_record("cell-" + std::to_string(i), i * 0.1));
+    }
+  }
+  obs::set_metrics_enabled(false);
+  // Each line is written once: O(N) bytes, not a rewrite per append.
+  EXPECT_EQ(bytes.value() - before, read_file(path).size());
+}
+
+TEST(CheckpointJournal, FailedWriteIsRetriedWithoutDuplicates) {
+  const std::string dir = testing::TempDir() + "bvc_ckpt_missing_dir";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/journal.jsonl";
+  CheckpointJournal journal(path);
+  journal.append(make_record("a", 1.0));  // the directory is missing
+  journal.append(make_record("b", 2.0));
+  EXPECT_FALSE(journal.flush());
+  EXPECT_TRUE(journal.contains("b"));  // the index still serves resumes
+
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(journal.flush());
+  EXPECT_EQ(read_file(path), to_jsonl(make_record("a", 1.0)) + '\n' +
+                                 to_jsonl(make_record("b", 2.0)) + '\n');
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointJournal, LoadLastWinsOnDuplicateKeys) {
@@ -221,6 +319,25 @@ TEST(CheckpointJournal, MergeFirstOccurrenceWins) {
   const auto k2 = merged.lookup("k2");
   ASSERT_TRUE(k2.has_value());
   EXPECT_EQ(k2->value_or("value", 0.0), 2.0);  // shard order, first wins
+}
+
+TEST(CheckpointJournal, MergeLastLineWinsWithinAJournal) {
+  const std::string shard0 = temp_path("merge_recomputed0.jsonl");
+  const std::string shard1 = temp_path("merge_recomputed1.jsonl");
+  const std::string out_path = temp_path("merge_recomputed_out.jsonl");
+  CheckpointRecord hollow;
+  hollow.key = "k1";
+  // A resumed worker recomputed k1 and appended it again.
+  write_file(shard0, to_jsonl(hollow) + '\n' +
+                         to_jsonl(make_record("k2", 2.0)) + '\n' +
+                         to_jsonl(make_record("k1", 1.0)) + '\n');
+  write_file(shard1, to_jsonl(make_record("k1", 99.0)) + '\n');
+  const std::vector<std::string> inputs = {shard0, shard1};
+  const robust::MergeReport report = robust::merge_journals(inputs, out_path);
+  EXPECT_EQ(report.records, 2u);
+  EXPECT_EQ(report.duplicates, 2u);
+  EXPECT_EQ(read_file(out_path), to_jsonl(make_record("k1", 1.0)) + '\n' +
+                                     to_jsonl(make_record("k2", 2.0)) + '\n');
 }
 
 // ---------------------------------------------------------------------------

@@ -651,6 +651,30 @@ TEST(SvcServiceEndpoints, JobStatusCarriesLiveTelemetryBlock) {
   EXPECT_NE(cache->find("bytes_resident"), nullptr);
 }
 
+TEST(SvcServiceEndpoints, FirstTerminalSnapshotCarriesElapsedTime) {
+  SolveService service{ServiceConfig{}};
+  const std::string id = submit_job(
+      service,
+      R"({"kind":"bu-attack","cells":[{"alpha":0.2,"beta":0.4,"gamma":0.4,)"
+      R"("ad":2,"utility":"relative-revenue"}]})");
+  // Poll without pausing: the first snapshot that reports a terminal state
+  // must already carry the job's wall-clock time.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  Json snapshot;
+  std::string state;
+  do {
+    snapshot = job_snapshot(service, id);
+    state = snapshot.string_or("state", "");
+  } while (state != "done" && state != "failed" && state != "cancelled" &&
+           std::chrono::steady_clock::now() < deadline);
+  ASSERT_EQ(state, "done") << snapshot.dump();
+  const Json* telemetry = snapshot.find("telemetry");
+  ASSERT_NE(telemetry, nullptr);
+  EXPECT_GT(telemetry->number_or("elapsed_seconds", -1.0), 0.0);
+  service.wait_idle();
+}
+
 TEST(SvcServiceHttp, RealSocketRoundTrip) {
   SolveService service{ServiceConfig{}};
   svc::HttpServer server([&service](const HttpRequest& request) {
