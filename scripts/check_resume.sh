@@ -11,7 +11,9 @@
 #      the rest — stdout must be BYTE-IDENTICAL to the baseline;
 #   4. a sharded run (--shards 2) whose worker 0 is crash-injected is
 #      restarted by the supervisor, completes with zero lost cells, again
-#      byte-identical, and the merged manifest records the restart.
+#      byte-identical, and the merged manifest records the restart;
+#   5. two single-threaded checkpointed runs write byte-identical journals
+#      (a journal holds results only, never a measured time).
 #
 # Usage: scripts/check_resume.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -97,4 +99,15 @@ print(f"check_resume: merged {manifest['merge']['records']} cells from "
       f"{manifest['shards']} shards, {manifest['total_restarts']} restart(s)")
 EOF
 
-echo "check_resume.sh: OK (resume and sharded outputs byte-identical)"
+# 5. Journals are reproducible: the same sweep journals the same bytes.
+for run in 1 2; do
+  "$bench" --quick --threads 1 --checkpoint "$out/repro$run.jsonl" \
+    >/dev/null 2>"$out/repro$run.err"
+done
+cmp "$out/repro1.jsonl" "$out/repro2.jsonl" || {
+  echo "check_resume.sh: two identical runs wrote different journals" >&2
+  exit 1
+}
+
+echo "check_resume.sh: OK (resume and sharded outputs byte-identical," \
+  "journals reproducible)"

@@ -12,8 +12,7 @@
 #      SIGKILLed by the journal hook mid-grid, leaving exactly N journaled
 #      cells; a restarted daemon on the same state dir RESUMES the job, and
 #      the final records must be identical to the uninterrupted service
-#      run's (wall_clock_ns aside — replayed cells keep their original
-#      timings, resumed-then-solved cells measure their own);
+#      run's (records hold results only, no measured times);
 #   4. net-sim leg: a replica campaign journaled by bench_degraded_network
 #      is re-run as a `net-sim` job; the records streamed by `bvc-cli tail`
 #      must match the bench journal cell for cell (sim records carry no
@@ -153,8 +152,7 @@ def canonical(path):
     assert result["state"] == "done", (path, result["state"])
     cells = {}
     for record in result["records"]:
-        values = [(n, v) for n, v in record["values"] if n != "wall_clock_ns"]
-        cells[record["key"]] = (record["status"], values)
+        cells[record["key"]] = (record["status"], record["values"])
     return result, cells
 
 first, first_cells = canonical(sys.argv[1])

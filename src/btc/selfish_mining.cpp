@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "mdp/model_cache.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace bvc::btc {
 
@@ -312,7 +316,6 @@ robust::CheckpointRecord sm_record(const std::string& key,
   record.values = {
       {"utility_value", result.utility_value},
       {"iterations", static_cast<double>(result.iterations)},
-      {"wall_clock_ns", static_cast<double>(result.wall_clock_ns)},
   };
   if (persist_policy) {
     record.policy.assign(result.policy.action.begin(),
@@ -325,12 +328,16 @@ bool sm_restore(const robust::CheckpointRecord& record, SmResult& result) {
   if (!record.has_value("utility_value")) {
     return false;
   }
+  // A NaN, negative or oversized count is a corrupt line, not a cast.
+  const std::optional<std::uint64_t> iterations = util::json_count(
+      record.value_or("iterations", 0.0), std::numeric_limits<int>::max());
+  if (!iterations) {
+    return false;
+  }
   result = SmResult{};
   result.status = record.status;
   result.utility_value = record.value_or("utility_value", 0.0);
-  result.iterations = static_cast<int>(record.value_or("iterations", 0.0));
-  result.wall_clock_ns =
-      static_cast<std::int64_t>(record.value_or("wall_clock_ns", 0.0));
+  result.iterations = static_cast<int>(*iterations);
   result.policy.action.assign(record.policy.begin(), record.policy.end());
   return true;
 }

@@ -1,5 +1,7 @@
 #include "bu/attack_analysis.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -8,6 +10,7 @@
 #include "mdp/average_reward.hpp"
 #include "mdp/model_cache.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace bvc::bu {
 
@@ -104,7 +107,6 @@ robust::CheckpointRecord analysis_record(const std::string& key,
       {"reward_rate", result.reward_rate},
       {"weight_rate", result.weight_rate},
       {"iterations", static_cast<double>(result.iterations)},
-      {"wall_clock_ns", static_cast<double>(result.wall_clock_ns)},
   };
   if (persist_policy) {
     record.policy.assign(result.policy.action.begin(),
@@ -119,6 +121,12 @@ bool analysis_restore(const robust::CheckpointRecord& record,
       !record.has_value("honest_baseline")) {
     return false;
   }
+  // A NaN, negative or oversized count is a corrupt line, not a cast.
+  const std::optional<std::uint64_t> iterations = util::json_count(
+      record.value_or("iterations", 0.0), std::numeric_limits<int>::max());
+  if (!iterations) {
+    return false;
+  }
   result = AnalysisResult{};
   result.status = record.status;
   result.utility_value = record.value_or("utility_value", 0.0);
@@ -126,9 +134,7 @@ bool analysis_restore(const robust::CheckpointRecord& record,
   result.attack_beats_honest = record.value_or("beats_honest", 0.0) != 0.0;
   result.reward_rate = record.value_or("reward_rate", 0.0);
   result.weight_rate = record.value_or("weight_rate", 0.0);
-  result.iterations = static_cast<int>(record.value_or("iterations", 0.0));
-  result.wall_clock_ns =
-      static_cast<std::int64_t>(record.value_or("wall_clock_ns", 0.0));
+  result.iterations = static_cast<int>(*iterations);
   result.policy.action.assign(record.policy.begin(), record.policy.end());
   return true;
 }

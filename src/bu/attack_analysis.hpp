@@ -123,7 +123,9 @@ struct AnalysisCheckpoint {
 
 /// Journal (de)serialization of one analysis cell, exposed for the resume
 /// tests. restore returns false on a record missing required fields (schema
-/// drift) — the caller then recomputes the cell.
+/// drift) — the caller then recomputes the cell. The record holds results
+/// only, never the measured wall_clock_ns, so journals are reproducible run
+/// to run; a restored cell reports wall_clock_ns = 0.
 [[nodiscard]] robust::CheckpointRecord analysis_record(
     const std::string& key, const AnalysisResult& result, bool persist_policy);
 [[nodiscard]] bool analysis_restore(const robust::CheckpointRecord& record,

@@ -1,9 +1,13 @@
 #include "counter/voting_simulation.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "mdp/model_cache.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace bvc::counter {
 
@@ -120,7 +124,6 @@ robust::CheckpointRecord voting_record(const std::string& key,
       {"decreases", static_cast<double>(result.decreases)},
       {"blocks", static_cast<double>(result.blocks)},
       {"iterations", static_cast<double>(result.iterations)},
-      {"wall_clock_ns", static_cast<double>(result.wall_clock_ns)},
   };
   for (const ByteSize limit : result.limit_per_epoch) {
     record.values.emplace_back("limit_per_epoch", static_cast<double>(limit));
@@ -133,23 +136,32 @@ bool voting_restore(const robust::CheckpointRecord& record,
   if (!record.has_value("final_limit") || !record.has_value("blocks")) {
     return false;
   }
-  result = VotingSimResult{};
-  result.status = record.status;
-  result.final_limit =
-      static_cast<ByteSize>(record.value_or("final_limit", 0.0));
-  result.increases =
-      static_cast<std::size_t>(record.value_or("increases", 0.0));
-  result.decreases =
-      static_cast<std::size_t>(record.value_or("decreases", 0.0));
-  result.blocks = static_cast<std::uint64_t>(record.value_or("blocks", 0.0));
-  result.iterations = static_cast<int>(record.value_or("iterations", 0.0));
-  result.wall_clock_ns =
-      static_cast<std::int64_t>(record.value_or("wall_clock_ns", 0.0));
+  // Every count must read back as an integer in range: a NaN, negative or
+  // oversized value is a corrupt line, not a cast.
+  bool valid = true;
+  const auto count = [&valid](double value, std::uint64_t max) {
+    const std::optional<std::uint64_t> checked = util::json_count(value, max);
+    valid = valid && checked.has_value();
+    return checked.value_or(0);
+  };
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  VotingSimResult restored;
+  restored.status = record.status;
+  restored.final_limit = count(record.value_or("final_limit", 0.0), kAny);
+  restored.increases = count(record.value_or("increases", 0.0), kAny);
+  restored.decreases = count(record.value_or("decreases", 0.0), kAny);
+  restored.blocks = count(record.value_or("blocks", 0.0), kAny);
+  restored.iterations = static_cast<int>(count(
+      record.value_or("iterations", 0.0), std::numeric_limits<int>::max()));
   for (const auto& [name, value] : record.values) {
     if (name == "limit_per_epoch") {
-      result.limit_per_epoch.push_back(static_cast<ByteSize>(value));
+      restored.limit_per_epoch.push_back(count(value, kAny));
     }
   }
+  if (!valid) {
+    return false;
+  }
+  result = std::move(restored);
   return true;
 }
 

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <thread>
 
+#include "util/json.hpp"
+
 // Stamped by src/obs/CMakeLists.txt at configure time; the fallbacks keep
 // out-of-CMake builds (and IDE syntax passes) compiling.
 #ifndef BVC_GIT_SHA
@@ -17,27 +19,6 @@
 #endif
 
 namespace bvc::obs {
-
-namespace {
-
-void write_json_string(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out << buffer;
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 RunManifest make_run_manifest(int argc, const char* const* argv) {
   RunManifest manifest;
@@ -69,40 +50,44 @@ RunManifest make_run_manifest(int argc, const char* const* argv) {
 
 void write_manifest_json(std::ostream& out, const RunManifest& manifest,
                          const MetricsSnapshot& metrics) {
-  out << "{\n  \"binary\": ";
-  write_json_string(out, manifest.binary);
-  out << ",\n  \"args\": [";
+  using util::append_json_escaped;
+  std::string text = "{\n  \"binary\": ";
+  append_json_escaped(text, manifest.binary);
+  text += ",\n  \"args\": [";
   for (std::size_t i = 0; i < manifest.args.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    write_json_string(out, manifest.args[i]);
+    text += i == 0 ? "" : ", ";
+    append_json_escaped(text, manifest.args[i]);
   }
-  out << "],\n  \"git_sha\": ";
-  write_json_string(out, manifest.git_sha);
-  out << ",\n  \"build_type\": ";
-  write_json_string(out, manifest.build_type);
-  out << ",\n  \"compiler\": ";
-  write_json_string(out, manifest.compiler);
-  out << ",\n  \"hardware_threads\": " << manifest.hardware_threads;
-  out << ",\n  \"started_at_utc\": ";
-  write_json_string(out, manifest.started_at_utc);
+  text += "],\n  \"git_sha\": ";
+  append_json_escaped(text, manifest.git_sha);
+  text += ",\n  \"build_type\": ";
+  append_json_escaped(text, manifest.build_type);
+  text += ",\n  \"compiler\": ";
+  append_json_escaped(text, manifest.compiler);
+  text += ",\n  \"hardware_threads\": " +
+          std::to_string(manifest.hardware_threads);
+  text += ",\n  \"started_at_utc\": ";
+  append_json_escaped(text, manifest.started_at_utc);
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.6f", manifest.elapsed_seconds);
-  out << ",\n  \"elapsed_seconds\": " << buffer;
-  out << ",\n  \"outputs\": {";
-  for (std::size_t i = 0; i < manifest.outputs.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    write_json_string(out, manifest.outputs[i].first);
-    out << ": ";
-    write_json_string(out, manifest.outputs[i].second);
-  }
-  out << "},\n  \"annotations\": {";
-  for (std::size_t i = 0; i < manifest.annotations.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    write_json_string(out, manifest.annotations[i].first);
-    out << ": ";
-    write_json_string(out, manifest.annotations[i].second);
-  }
-  out << "},\n  \"metrics\": ";
+  text += ",\n  \"elapsed_seconds\": ";
+  text += buffer;
+  const auto append_pairs =
+      [&](const std::vector<std::pair<std::string, std::string>>& pairs) {
+        text += '{';
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          text += i == 0 ? "" : ", ";
+          append_json_escaped(text, pairs[i].first);
+          text += ": ";
+          append_json_escaped(text, pairs[i].second);
+        }
+        text += '}';
+      };
+  text += ",\n  \"outputs\": ";
+  append_pairs(manifest.outputs);
+  text += ",\n  \"annotations\": ";
+  append_pairs(manifest.annotations);
+  text += ",\n  \"metrics\": ";
   // Indentation mismatch with the nested writer is cosmetic; the payload
   // is for machines first.
   std::ostringstream nested;
@@ -111,7 +96,7 @@ void write_manifest_json(std::ostream& out, const RunManifest& manifest,
   while (!body.empty() && (body.back() == '\n')) {
     body.pop_back();
   }
-  out << body << "\n}\n";
+  out << text << body << "\n}\n";
 }
 
 }  // namespace bvc::obs

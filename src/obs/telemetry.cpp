@@ -9,179 +9,55 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "obs/event_log.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace bvc::obs {
 namespace {
 
-// --------------------------------------------------------- minimal JSON in
-//
-// Just enough of a recursive-descent parser to read back what
-// write_metrics_json emits (obs cannot depend on svc::Json — layering).
+// --------------------------------------------------------- metrics JSON in
 
-struct JsonIn {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    failed = true;
+/// A counter or bucket count: a non-negative integer that fits uint64.
+bool read_count(const util::Json& value, std::uint64_t& out) {
+  const std::optional<std::uint64_t> count =
+      util::json_count(value.as_number(-1.0));
+  if (!value.is_number() || !count) {
     return false;
   }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  std::string parse_string() {
-    if (!consume('"')) return {};
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        const char escaped = text[pos++];
-        switch (escaped) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u':
-            // \uXXXX: metric names never need it; map to '?'.
-            pos = std::min(pos + 4, text.size());
-            c = '?';
-            break;
-          default: c = escaped;
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos >= text.size()) {
-      failed = true;
-      return {};
-    }
-    ++pos;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E' || text[pos] == 'i' ||
-            text[pos] == 'n' || text[pos] == 'f' || text[pos] == 'a')) {
-      ++pos;  // the letter set tolerates inf/-inf/nan from %.17g
-    }
-    if (pos == start) {
-      failed = true;
-      return 0.0;
-    }
-    return std::strtod(std::string(text.substr(start, pos - start)).c_str(),
-                       nullptr);
-  }
-};
-
-/// Parses `{"name": <number>, ...}` into `sink(name, value)`.
-template <typename Sink>
-void parse_number_object(JsonIn& in, Sink&& sink) {
-  if (!in.consume('{')) return;
-  if (in.peek('}')) {
-    in.consume('}');
-    return;
-  }
-  while (!in.failed) {
-    const std::string name = in.parse_string();
-    if (in.failed || !in.consume(':')) return;
-    sink(name, in.parse_number());
-    if (in.peek(',')) {
-      in.consume(',');
-      continue;
-    }
-    in.consume('}');
-    return;
-  }
+  out = *count;
+  return true;
 }
 
-void parse_number_array(JsonIn& in, std::vector<double>& out) {
-  if (!in.consume('[')) return;
-  if (in.peek(']')) {
-    in.consume(']');
-    return;
-  }
-  while (!in.failed) {
-    out.push_back(in.parse_number());
-    if (in.peek(',')) {
-      in.consume(',');
-      continue;
-    }
-    in.consume(']');
-    return;
-  }
-}
-
-void parse_histograms(JsonIn& in, MetricsSnapshot& snapshot) {
-  if (!in.consume('{')) return;
-  if (in.peek('}')) {
-    in.consume('}');
-    return;
-  }
-  while (!in.failed) {
-    const std::string name = in.parse_string();
-    if (in.failed || !in.consume(':') || !in.consume('{')) return;
-    Histogram::Snapshot histogram;
-    while (!in.failed) {
-      const std::string key = in.parse_string();
-      if (in.failed || !in.consume(':')) return;
-      if (key == "bounds") {
-        parse_number_array(in, histogram.bounds);
-      } else if (key == "counts") {
-        std::vector<double> counts;
-        parse_number_array(in, counts);
-        histogram.counts.reserve(counts.size());
-        for (const double c : counts) {
-          histogram.counts.push_back(static_cast<std::uint64_t>(c));
+bool read_histogram(const util::Json& json, Histogram::Snapshot& histogram) {
+  if (!json.is_object()) return false;
+  for (const auto& [key, value] : json.members()) {
+    if (key == "bounds" || key == "counts") {
+      if (!value.is_array()) return false;
+      for (const util::Json& item : value.items()) {
+        if (key == "bounds") {
+          if (!item.number_or_null(histogram.bounds.emplace_back())) {
+            return false;
+          }
+        } else if (!read_count(item, histogram.counts.emplace_back())) {
+          return false;
         }
-      } else if (key == "sum") {
-        histogram.sum = in.parse_number();
-      } else if (key == "count") {
-        histogram.count = static_cast<std::uint64_t>(in.parse_number());
-      } else {
-        in.failed = true;
-        return;
       }
-      if (in.peek(',')) {
-        in.consume(',');
-        continue;
-      }
-      in.consume('}');
-      break;
+    } else if (key == "sum") {
+      if (!value.number_or_null(histogram.sum)) return false;
+    } else if (key == "count") {
+      if (!read_count(value, histogram.count)) return false;
+    } else {
+      return false;
     }
-    snapshot.histograms.emplace(name, std::move(histogram));
-    if (in.peek(',')) {
-      in.consume(',');
-      continue;
-    }
-    in.consume('}');
-    return;
   }
+  // One count per finite bucket plus the overflow bucket.
+  return histogram.counts.size() == histogram.bounds.size() + 1;
 }
 
 // ------------------------------------------------------------- file naming
@@ -299,34 +175,27 @@ std::optional<MetricsSnapshot> read_metrics_json(const std::string& path) {
   buffer << in.rdbuf();
   const std::string body = buffer.str();
 
-  JsonIn json{body};
+  const std::optional<util::Json> json = util::Json::parse(body);
+  if (!json || !json->is_object()) return std::nullopt;
   MetricsSnapshot snapshot;
-  if (!json.consume('{')) return std::nullopt;
-  while (!json.failed) {
-    const std::string section = json.parse_string();
-    if (json.failed || !json.consume(':')) return std::nullopt;
-    if (section == "counters") {
-      parse_number_object(json, [&](const std::string& name, double value) {
-        snapshot.counters.emplace(name, static_cast<std::uint64_t>(value));
-      });
-    } else if (section == "gauges") {
-      parse_number_object(json, [&](const std::string& name, double value) {
-        snapshot.gauges.emplace(name, value);
-      });
-    } else if (section == "histograms") {
-      parse_histograms(json, snapshot);
-    } else {
-      return std::nullopt;
+  for (const auto& [section, members] : json->members()) {
+    const bool known = section == "counters" || section == "gauges" ||
+                       section == "histograms";
+    if (!known || !members.is_object()) return std::nullopt;
+    for (const auto& [name, value] : members.members()) {
+      bool ok = false;
+      if (section == "counters") {
+        ok = read_count(value, snapshot.counters[name]);
+      } else if (section == "gauges") {
+        ok = value.number_or_null(snapshot.gauges[name]);
+      } else {
+        Histogram::Snapshot& histogram = snapshot.histograms[name];
+        histogram = {};  // a repeated name replaces, never appends
+        ok = read_histogram(value, histogram);
+      }
+      if (!ok) return std::nullopt;
     }
-    if (json.failed) return std::nullopt;
-    if (json.peek(',')) {
-      json.consume(',');
-      continue;
-    }
-    json.consume('}');
-    break;
   }
-  if (json.failed) return std::nullopt;
   return snapshot;
 }
 
@@ -424,9 +293,11 @@ bool write_merged_chrome_trace(std::ostream& out, const std::string& dir,
   bool first = true;
   const auto emit_process_name = [&](std::uint32_t pid,
                                      const std::string& label) {
+    std::string name;
+    util::append_json_escaped(name, label);
     out << (first ? "\n" : ",\n");
     out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"name\":\"" << label << "\"}}";
+        << ",\"tid\":0,\"args\":{\"name\":" << name << "}}";
     first = false;
   };
 

@@ -15,9 +15,10 @@
 //     process's own epoch, so lanes are individually — not mutually —
 //     time-aligned (documented in docs/OBSERVABILITY.md).
 //
-// Layering: obs sits below svc, so the metrics-JSON reader here is a
-// self-contained minimal parser of exactly what write_metrics_json emits
-// (it cannot use svc::Json).
+// read_metrics_json parses with util::Json (bvc_json sits below obs) and
+// then checks the schema write_metrics_json emits: counters and bucket
+// counts are non-negative integers, and `null` in a gauge, bound or sum is
+// read back as NaN.
 #pragma once
 
 #include <atomic>

@@ -1,11 +1,14 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
+#include <string>
 
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace bvc::obs {
 
@@ -18,59 +21,29 @@ Clock::time_point trace_epoch() noexcept {
   return epoch;
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-void write_json_string(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buffer;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void write_event_json(std::ostream& out, const TraceEvent& event,
                       std::uint32_t tid, std::uint32_t pid = 0) {
+  std::string text = "{\"name\":";
+  util::append_json_escaped(text, event.name != nullptr ? event.name : "?");
+  text += ",\"cat\":";
+  util::append_json_escaped(
+      text, event.category != nullptr ? event.category : "?");
   char buffer[64];
-  out << "{\"name\":";
-  write_json_string(out, event.name != nullptr ? event.name : "?");
-  out << ",\"cat\":";
-  write_json_string(out, event.category != nullptr ? event.category : "?");
   if (event.duration_ns < 0) {
-    out << ",\"ph\":\"i\",\"s\":\"t\"";
+    text += ",\"ph\":\"i\",\"s\":\"t\"";
   } else {
     std::snprintf(buffer, sizeof(buffer), ",\"ph\":\"X\",\"dur\":%.3f",
                   static_cast<double>(event.duration_ns) * 1e-3);
-    out << buffer;
+    text += buffer;
   }
-  std::snprintf(buffer, sizeof(buffer), ",\"ts\":%.3f,\"pid\":%u,\"tid\":%u",
+  std::snprintf(buffer, sizeof(buffer),
+                ",\"ts\":%.3f,\"pid\":%u,\"tid\":%u",
                 static_cast<double>(event.start_ns) * 1e-3, pid, tid);
-  out << buffer << ",\"args\":{";
-  out.write(event.args, event.args_len);
-  out << "}}";
+  text += buffer;
+  text += ",\"args\":{";
+  text.append(event.args, event.args_len);
+  text += "}}";
+  out << text;
 }
 
 /// Satellite: ring-buffer drops must never be silent. Bumps the
@@ -296,6 +269,16 @@ void append_string_arg(TraceEvent& event, const char* key,
   append_arg(event, key, formatted);
 }
 
+/// Appends `"key":<value>` as %.6g, or `null` when `value` is not finite
+/// (JSON has no NaN or Inf, and trace viewers reject them).
+void append_number_arg(TraceEvent& event, const char* key, double value) {
+  char formatted[32] = "null";
+  if (std::isfinite(value)) {
+    std::snprintf(formatted, sizeof(formatted), "%.6g", value);
+  }
+  append_arg(event, key, formatted);
+}
+
 }  // namespace
 
 void Span::arg(const char* key, std::int64_t value) noexcept {
@@ -312,9 +295,7 @@ void Span::arg(const char* key, double value) noexcept {
   if (!active_) {
     return;
   }
-  char formatted[32];
-  std::snprintf(formatted, sizeof(formatted), "%.6g", value);
-  append_arg(event_, key, formatted);
+  append_number_arg(event_, key, value);
 }
 
 void Span::arg(const char* key, std::string_view value) noexcept {
@@ -358,9 +339,7 @@ void trace_instant(const char* name, const char* category, const char* key,
   event.start_ns = trace_now_ns();
   event.duration_ns = -1;
   event.args_len = 0;
-  char formatted[32];
-  std::snprintf(formatted, sizeof(formatted), "%.6g", value);
-  append_arg(event, key, formatted);
+  append_number_arg(event, key, value);
   Tracer::global().record(event);
 }
 

@@ -4,156 +4,24 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <unordered_set>
 
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace bvc::robust {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-/// Minimal cursor over one journal line. The grammar is the fixed flat
-/// schema to_jsonl emits (plus arbitrary whitespace), not general JSON —
-/// anything else is rejected, which is exactly the torn-line tolerance
-/// load() wants.
-class LineParser {
- public:
-  explicit LineParser(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] bool eat(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  [[nodiscard]] bool parse_string(std::string& out) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        const char esc = text_[pos_++];
-        if (esc == 'u') {
-          if (pos_ + 4 > text_.size()) {
-            return false;
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
-          if (code > 0x7f) {
-            return false;  // the writer only escapes control characters
-          }
-          out += static_cast<char>(code);
-        } else if (esc == '"' || esc == '\\') {
-          out += esc;
-        } else {
-          return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  [[nodiscard]] bool parse_double(double& out) {
-    skip_ws();
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtod(begin, &end);
-    if (end == begin || errno == ERANGE) {
-      return false;
-    }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  [[nodiscard]] bool parse_int(std::int64_t& out) {
-    skip_ws();
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoll(begin, &end, 10);
-    if (end == begin || errno == ERANGE) {
-      return false;
-    }
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 std::optional<RunStatus> status_from_string(std::string_view text) {
   for (const RunStatus status :
@@ -223,22 +91,20 @@ bool CheckpointRecord::has_value(std::string_view name) const noexcept {
 
 std::string to_jsonl(const CheckpointRecord& record) {
   std::string out = "{\"key\":";
-  append_json_string(out, record.key);
+  util::append_json_escaped(out, record.key);
   out += ",\"status\":";
-  append_json_string(out, to_string(record.status));
+  util::append_json_escaped(out, to_string(record.status));
   out += ",\"values\":{";
   for (std::size_t i = 0; i < record.values.size(); ++i) {
     if (i != 0) {
       out += ',';
     }
-    append_json_string(out, record.values[i].first);
+    util::append_json_escaped(out, record.values[i].first);
     out += ':';
-    char buffer[40];
     // %.17g round-trips every finite double: a resumed cell renders the
     // exact bits the original solve produced (the bitwise-identical-output
-    // guarantee rests on this).
-    std::snprintf(buffer, sizeof(buffer), "%.17g", record.values[i].second);
-    out += buffer;
+    // guarantee rests on this). A non-finite value is written as null.
+    util::append_json_number(out, record.values[i].second);
   }
   out += '}';
   if (!record.policy.empty()) {
@@ -247,9 +113,7 @@ std::string to_jsonl(const CheckpointRecord& record) {
       if (i != 0) {
         out += ',';
       }
-      char buffer[16];
-      std::snprintf(buffer, sizeof(buffer), "%" PRId32, record.policy[i]);
-      out += buffer;
+      out += std::to_string(record.policy[i]);
     }
     out += ']';
   }
@@ -258,68 +122,49 @@ std::string to_jsonl(const CheckpointRecord& record) {
 }
 
 std::optional<CheckpointRecord> parse_jsonl_line(std::string_view line) {
-  LineParser parser(line);
+  // One util::Json parse, then the schema to_jsonl writes: exactly `key`,
+  // `status`, `values` and an optional `policy`. A torn or foreign line
+  // fails here and load() skips it.
+  const std::optional<util::Json> json = util::Json::parse(line);
+  if (!json || !json->is_object()) {
+    return std::nullopt;
+  }
+  const util::Json* key = json->find("key");
+  const util::Json* status = json->find("status");
+  const util::Json* values = json->find("values");
+  const util::Json* policy = json->find("policy");
+  // Three or four members, all found by name: none unknown or repeated.
+  if (key == nullptr || !key->is_string() || status == nullptr ||
+      values == nullptr || !values->is_object() ||
+      (policy != nullptr && !policy->is_array()) ||
+      json->members().size() != (policy != nullptr ? 4u : 3u)) {
+    return std::nullopt;
+  }
+  const std::optional<RunStatus> run_status =
+      status_from_string(status->as_string());
+  if (!run_status) {
+    return std::nullopt;
+  }
   CheckpointRecord record;
-  std::string field;
-  if (!parser.eat('{') || !parser.parse_string(field) || field != "key" ||
-      !parser.eat(':') || !parser.parse_string(record.key) ||
-      !parser.eat(',') || !parser.parse_string(field) || field != "status" ||
-      !parser.eat(':')) {
-    return std::nullopt;
-  }
-  std::string status_text;
-  if (!parser.parse_string(status_text)) {
-    return std::nullopt;
-  }
-  const std::optional<RunStatus> status = status_from_string(status_text);
-  if (!status) {
-    return std::nullopt;
-  }
-  record.status = *status;
-  if (!parser.eat(',') || !parser.parse_string(field) || field != "values" ||
-      !parser.eat(':') || !parser.eat('{')) {
-    return std::nullopt;
-  }
-  if (!parser.eat('}')) {
-    while (true) {
-      std::string name;
-      double value = 0.0;
-      if (!parser.parse_string(name) || !parser.eat(':') ||
-          !parser.parse_double(value)) {
-        return std::nullopt;
-      }
-      record.values.emplace_back(std::move(name), value);
-      if (parser.eat('}')) {
-        break;
-      }
-      if (!parser.eat(',')) {
-        return std::nullopt;
-      }
-    }
-  }
-  if (parser.eat(',')) {
-    if (!parser.parse_string(field) || field != "policy" ||
-        !parser.eat(':') || !parser.eat('[')) {
+  record.key = key->as_string();
+  record.status = *run_status;
+  // members(), not find(): a name may repeat (the voting trace's
+  // limit_per_epoch) and its order is the data. null reads back as NaN.
+  for (const auto& [name, value] : values->members()) {
+    if (!value.number_or_null(record.values.emplace_back(name, 0.0).second)) {
       return std::nullopt;
     }
-    if (!parser.eat(']')) {
-      while (true) {
-        std::int64_t action = 0;
-        if (!parser.parse_int(action)) {
-          return std::nullopt;
-        }
-        record.policy.push_back(static_cast<std::int32_t>(action));
-        if (parser.eat(']')) {
-          break;
-        }
-        if (!parser.eat(',')) {
-          return std::nullopt;
-        }
-      }
-    }
   }
-  if (!parser.eat('}') || !parser.at_end()) {
-    return std::nullopt;
+  if (policy != nullptr) {
+    for (const util::Json& action : policy->items()) {
+      const double number = action.as_number(0.5);  // 0.5: not an integer
+      if (number != std::floor(number) ||
+          number < std::numeric_limits<std::int32_t>::min() ||
+          number > std::numeric_limits<std::int32_t>::max()) {
+        return std::nullopt;
+      }
+      record.policy.push_back(static_cast<std::int32_t>(number));
+    }
   }
   return record;
 }

@@ -56,7 +56,8 @@
 namespace bvc::robust {
 
 /// One completed sweep cell: the canonical parameter key, how the solve
-/// ended, named result values (doubles, round-tripped exactly via %.17g),
+/// ended, named result values (finite doubles round-trip exactly via
+/// %.17g; a non-finite one is journaled as null and reads back as NaN),
 /// and an optional policy (local action indices) for sweeps whose consumers
 /// replay the optimal policy (e.g. the ablation scenario simulations).
 struct CheckpointRecord {
@@ -74,8 +75,9 @@ struct CheckpointRecord {
 /// Serializes one record as a single JSON line (no trailing newline).
 [[nodiscard]] std::string to_jsonl(const CheckpointRecord& record);
 
-/// Parses one journal line; std::nullopt on any malformed input (torn
-/// write, foreign content). Never throws.
+/// Parses one journal line with util::Json::parse and checks it against
+/// the schema to_jsonl writes; std::nullopt on any malformed input (torn
+/// write, foreign content, a policy entry outside int32).
 [[nodiscard]] std::optional<CheckpointRecord> parse_jsonl_line(
     std::string_view line);
 

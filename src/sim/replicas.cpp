@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
+#include <string_view>
 
 #include "mdp/model_cache.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace bvc::sim {
@@ -157,27 +161,32 @@ bool sim_restore(const robust::CheckpointRecord& record,
       !record.has_value("miners")) {
     return false;
   }
-  const auto miners =
-      static_cast<std::size_t>(record.value_or("miners", 0.0));
+  // Every count must read back as an integer in range (NaN, negative or
+  // 2^64 is a corrupt line, not a cast). `miners` is checked before any
+  // resize: each miner has three values, so a larger count is corrupt.
+  bool valid = true;
+  const auto count = [&](std::string_view name, std::uint64_t max) {
+    const std::optional<std::uint64_t> value =
+        util::json_count(record.value_or(name, 0.0), max);
+    valid = valid && value.has_value();
+    return value.value_or(0);
+  };
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t miners = count("miners", record.values.size() / 3);
+  if (!valid) {
+    return false;
+  }
   NetworkResult restored;
   restored.status = record.status;
-  restored.blocks_mined =
-      static_cast<std::uint64_t>(record.value_or("blocks_mined", 0.0));
+  restored.blocks_mined = count("blocks_mined", kAny);
   restored.duration = record.value_or("duration", 0.0);
-  restored.canonical_length =
-      static_cast<std::uint64_t>(record.value_or("canonical_length", 0.0));
-  restored.orphaned_blocks =
-      static_cast<std::uint64_t>(record.value_or("orphaned_blocks", 0.0));
-  restored.dropped_messages =
-      static_cast<std::uint64_t>(record.value_or("dropped_messages", 0.0));
-  restored.duplicated_messages = static_cast<std::uint64_t>(
-      record.value_or("duplicated_messages", 0.0));
-  restored.deferred_deliveries = static_cast<std::uint64_t>(
-      record.value_or("deferred_deliveries", 0.0));
-  restored.wasted_finds =
-      static_cast<std::uint64_t>(record.value_or("wasted_finds", 0.0));
-  restored.relayed_messages =
-      static_cast<std::uint64_t>(record.value_or("relayed_messages", 0.0));
+  restored.canonical_length = count("canonical_length", kAny);
+  restored.orphaned_blocks = count("orphaned_blocks", kAny);
+  restored.dropped_messages = count("dropped_messages", kAny);
+  restored.duplicated_messages = count("duplicated_messages", kAny);
+  restored.deferred_deliveries = count("deferred_deliveries", kAny);
+  restored.wasted_finds = count("wasted_finds", kAny);
+  restored.relayed_messages = count("relayed_messages", kAny);
   restored.mined_per_miner.resize(miners);
   restored.locked_per_miner.resize(miners);
   restored.orphaned_per_miner.resize(miners);
@@ -192,12 +201,12 @@ bool sim_restore(const robust::CheckpointRecord& record,
         !record.has_value(orphaned_name)) {
       return false;
     }
-    restored.mined_per_miner[i] =
-        static_cast<std::uint64_t>(record.value_or(mined_name, 0.0));
-    restored.locked_per_miner[i] =
-        static_cast<std::uint64_t>(record.value_or(locked_name, 0.0));
-    restored.orphaned_per_miner[i] =
-        static_cast<std::uint64_t>(record.value_or(orphaned_name, 0.0));
+    restored.mined_per_miner[i] = count(mined_name, kAny);
+    restored.locked_per_miner[i] = count(locked_name, kAny);
+    restored.orphaned_per_miner[i] = count(orphaned_name, kAny);
+  }
+  if (!valid) {
+    return false;
   }
   result = std::move(restored);
   return true;

@@ -3,32 +3,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <ostream>
+#include <string>
+
+#include "util/json.hpp"
 
 namespace bvc::sim {
 
 namespace {
 
 constexpr double kMicrosPerSecond = 1e6;
-
-void write_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 }  // namespace
 
@@ -88,15 +71,14 @@ void Timeline::write_chrome_trace(std::ostream& out) const {
   const std::size_t tracks =
       std::max<std::size_t>(labels_.size(), events_.empty() ? 0 : max_node + 1);
   for (std::size_t node = 0; node < tracks; ++node) {
-    const std::string label =
-        node < labels_.size() && !labels_[node].empty()
-            ? labels_[node]
-            : "node-" + std::to_string(node);
+    std::string label;
+    util::append_json_escaped(
+        label, node < labels_.size() && !labels_[node].empty()
+                   ? labels_[node]
+                   : "node-" + std::to_string(node));
     sep();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << node
-        << ",\"args\":{\"name\":";
-    write_json_string(out, label);
-    out << "}}";
+        << ",\"args\":{\"name\":" << label << "}}";
   }
 
   for (const Event& event : events_) {

@@ -44,7 +44,7 @@
 #include "obs/prometheus.hpp"
 #include "obs/telemetry.hpp"
 #include "svc/http.hpp"
-#include "svc/json.hpp"
+#include "util/json.hpp"
 #include "util/arg_spec.hpp"
 
 namespace {
@@ -283,14 +283,14 @@ int main(int argc, char** argv) {
         std::printf("%s\n", response->body.c_str());
         return 1;
       }
-      const std::optional<svc::Json> body = svc::Json::parse(response->body);
+      const std::optional<util::Json> body = util::Json::parse(response->body);
       if (!body) {
         std::fprintf(stderr, "bvc-cli: malformed response\n");
         return 1;
       }
-      if (const svc::Json* records = body->find("records");
+      if (const util::Json* records = body->find("records");
           records != nullptr && records->is_array()) {
-        for (const svc::Json& record : records->items()) {
+        for (const util::Json& record : records->items()) {
           std::printf("%s\n", record.dump().c_str());
         }
         std::fflush(stdout);
@@ -327,7 +327,7 @@ int main(int argc, char** argv) {
         std::printf("%s\n", response->body.c_str());
         return 1;
       }
-      const std::optional<svc::Json> body = svc::Json::parse(response->body);
+      const std::optional<util::Json> body = util::Json::parse(response->body);
       const std::string state = body ? body->string_or("state", "") : "";
       if (is_terminal_state(state)) {
         std::printf("%s\n", response->body.c_str());

@@ -1,6 +1,10 @@
 // bvcd — the long-running solve daemon. Serves the HTTP/JSON job API
 // (svc::SolveService) over a loopback socket, with the model cache, obs
 // registry, and crash-safe job persistence wired in. See docs/SERVICE.md.
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -8,7 +12,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "mdp/model_cache.hpp"
 #include "obs/event_log.hpp"
@@ -21,9 +24,23 @@
 
 namespace {
 
-volatile std::sig_atomic_t g_stop_requested = 0;
+/// Self-pipe: the SIGINT/SIGTERM handler writes one byte, main blocks
+/// reading it. Whichever thread takes the signal, main wakes at once.
+int g_stop_pipe[2] = {-1, -1};
 
-void handle_stop_signal(int) { g_stop_requested = 1; }
+void handle_stop_signal(int) {
+  const int saved_errno = errno;
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t wrote = ::write(g_stop_pipe[1], &byte, 1);
+  errno = saved_errno;
+}
+
+/// Blocks until a stop signal's byte arrives on the self-pipe.
+void wait_for_stop_signal() {
+  char byte = 0;
+  while (::read(g_stop_pipe[0], &byte, 1) < 0 && errno == EINTR) {
+  }
+}
 
 /// Atomic tmp+rename publish so a poller never reads a partial file.
 bool write_text_file(const std::string& path, const std::string& content) {
@@ -207,11 +224,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (::pipe2(g_stop_pipe, O_CLOEXEC) != 0) {
+    obs::log_error("bvcd", "cannot create the shutdown pipe");
+    server.stop();
+    return 1;
+  }
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
-  while (g_stop_requested == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  wait_for_stop_signal();
   std::printf("bvcd: shutting down\n");
   std::fflush(stdout);
 

@@ -13,9 +13,9 @@ namespace {
 
 /// Reads a finite number member; false (with `error` filled) when present
 /// but not a finite number. Absent leaves `out` untouched and succeeds.
-bool read_number(const Json& object, std::string_view key, double& out,
+bool read_number(const util::Json& object, std::string_view key, double& out,
                  std::string& error) {
-  const Json* value = object.find(key);
+  const util::Json* value = object.find(key);
   if (value == nullptr) {
     return true;
   }
@@ -27,8 +27,8 @@ bool read_number(const Json& object, std::string_view key, double& out,
   return true;
 }
 
-bool read_unsigned(const Json& object, std::string_view key, unsigned& out,
-                   std::string& error) {
+bool read_unsigned(const util::Json& object, std::string_view key,
+                   unsigned& out, std::string& error) {
   double value = static_cast<double>(out);
   if (!read_number(object, key, value, error)) {
     return false;
@@ -41,8 +41,8 @@ bool read_unsigned(const Json& object, std::string_view key, unsigned& out,
   return true;
 }
 
-bool read_u64(const Json& object, std::string_view key, std::uint64_t& out,
-              std::string& error) {
+bool read_u64(const util::Json& object, std::string_view key,
+              std::uint64_t& out, std::string& error) {
   double value = static_cast<double>(out);
   if (!read_number(object, key, value, error)) {
     return false;
@@ -55,8 +55,9 @@ bool read_u64(const Json& object, std::string_view key, std::uint64_t& out,
   return true;
 }
 
-bool parse_utility(const Json& object, bu::Utility& out, std::string& error) {
-  const Json* value = object.find("utility");
+bool parse_utility(const util::Json& object, bu::Utility& out,
+                   std::string& error) {
+  const util::Json* value = object.find("utility");
   if (value == nullptr) {
     return true;
   }
@@ -75,8 +76,9 @@ bool parse_utility(const Json& object, bu::Utility& out, std::string& error) {
   return true;
 }
 
-bool parse_setting(const Json& object, bu::Setting& out, std::string& error) {
-  const Json* value = object.find("setting");
+bool parse_setting(const util::Json& object, bu::Setting& out,
+                   std::string& error) {
+  const util::Json* value = object.find("setting");
   if (value == nullptr) {
     return true;
   }
@@ -93,7 +95,7 @@ bool parse_setting(const Json& object, bu::Setting& out, std::string& error) {
 }
 
 /// One bu-attack cell object -> AttackParams (+ optional utility override).
-bool parse_attack_cell(const Json& cell, bu::AttackParams& params,
+bool parse_attack_cell(const util::Json& cell, bu::AttackParams& params,
                        bu::Utility& utility, std::string& error) {
   if (!cell.is_object()) {
     error = "each cell must be an object";
@@ -135,15 +137,15 @@ bool parse_attack_cell(const Json& cell, bu::AttackParams& params,
 /// exactly — beta = (1-alpha)*b/(b+g), gamma = rest-beta, cells outside
 /// alpha <= min(beta, gamma) skipped — so a grid job's cell keys equal the
 /// bench sweep's.
-bool expand_attack_grid(const Json& grid, bu::Utility job_utility,
+bool expand_attack_grid(const util::Json& grid, bu::Utility job_utility,
                         std::vector<bu::AnalysisJob>& jobs,
                         std::string& error) {
   if (!grid.is_object()) {
     error = "field 'grid' must be an object";
     return false;
   }
-  const Json* alphas = grid.find("alphas");
-  const Json* ratios = grid.find("ratios");
+  const util::Json* alphas = grid.find("alphas");
+  const util::Json* ratios = grid.find("ratios");
   if (alphas == nullptr || !alphas->is_array() || alphas->size() == 0 ||
       ratios == nullptr || !ratios->is_array() || ratios->size() == 0) {
     error = "grid requires non-empty 'alphas' and 'ratios' arrays";
@@ -162,7 +164,7 @@ bool expand_attack_grid(const Json& grid, bu::Utility job_utility,
   }
   defaults.allow_wait = grid.bool_or("allow_wait", defaults.allow_wait);
 
-  for (const Json& ratio : ratios->items()) {
+  for (const util::Json& ratio : ratios->items()) {
     if (!ratio.is_array() || ratio.size() != 2 || !ratio.at(0).is_number() ||
         !ratio.at(1).is_number() || ratio.at(0).as_number() <= 0.0 ||
         ratio.at(1).as_number() <= 0.0) {
@@ -171,7 +173,7 @@ bool expand_attack_grid(const Json& grid, bu::Utility job_utility,
     }
     const double b = ratio.at(0).as_number();
     const double g = ratio.at(1).as_number();
-    for (const Json& alpha_value : alphas->items()) {
+    for (const util::Json& alpha_value : alphas->items()) {
       if (!alpha_value.is_number() ||
           !std::isfinite(alpha_value.as_number())) {
         error = "grid alphas must be finite numbers";
@@ -204,7 +206,8 @@ bool expand_attack_grid(const Json& grid, bu::Utility job_utility,
   return true;
 }
 
-bool parse_sm_cell(const Json& cell, btc::SmJob& job, std::string& error) {
+bool parse_sm_cell(const util::Json& cell, btc::SmJob& job,
+                   std::string& error) {
   if (!cell.is_object()) {
     error = "each cell must be an object";
     return false;
@@ -232,7 +235,7 @@ bool parse_sm_cell(const Json& cell, btc::SmJob& job, std::string& error) {
   return true;
 }
 
-bool parse_voting_cell(const Json& cell, counter::VotingJob& job,
+bool parse_voting_cell(const util::Json& cell, counter::VotingJob& job,
                        std::string& error) {
   if (!cell.is_object()) {
     error = "each cell must be an object";
@@ -250,7 +253,7 @@ bool parse_voting_cell(const Json& cell, counter::VotingJob& job,
   if (!read_u64(cell, "seed", job.seed, error)) {
     return false;
   }
-  if (const Json* rule = cell.find("rule"); rule != nullptr) {
+  if (const util::Json* rule = cell.find("rule"); rule != nullptr) {
     if (!rule->is_object()) {
       error = "field 'rule' must be an object";
       return false;
@@ -271,12 +274,12 @@ bool parse_voting_cell(const Json& cell, counter::VotingJob& job,
     r.epoch_length = static_cast<counter::Height>(epoch_length);
     r.activation_delay = static_cast<counter::Height>(activation_delay);
   }
-  const Json* cohorts = cell.find("cohorts");
+  const util::Json* cohorts = cell.find("cohorts");
   if (cohorts == nullptr || !cohorts->is_array() || cohorts->size() == 0) {
     error = "cell requires a non-empty 'cohorts' array";
     return false;
   }
-  for (const Json& member : cohorts->items()) {
+  for (const util::Json& member : cohorts->items()) {
     if (!member.is_object()) {
       error = "each cohort must be an object";
       return false;
@@ -307,7 +310,7 @@ bool parse_voting_cell(const Json& cell, counter::VotingJob& job,
 }
 
 /// Flattened BU rule fields on a miner / relay object (absent = defaults).
-bool parse_bu_rule(const Json& object, chain::BuParams& rule,
+bool parse_bu_rule(const util::Json& object, chain::BuParams& rule,
                    std::string& error) {
   std::uint64_t eb = rule.eb;
   std::uint64_t mg = rule.mg;
@@ -331,7 +334,7 @@ bool parse_bu_rule(const Json& object, chain::BuParams& rule,
 /// checks here; the per-field semantic validation (positive powers /
 /// bandwidths / latencies, placements, ...) is NetworkConfig::validate(),
 /// surfaced through the API verbatim.
-bool parse_net_config(const Json& net, sim::NetworkConfig& config,
+bool parse_net_config(const util::Json& net, sim::NetworkConfig& config,
                       std::string& error) {
   if (!net.is_object()) {
     error = "field 'net' must be an object";
@@ -340,12 +343,12 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
   if (!read_number(net, "block_interval", config.block_interval, error)) {
     return false;
   }
-  const Json* miners = net.find("miners");
+  const util::Json* miners = net.find("miners");
   if (miners == nullptr || !miners->is_array() || miners->size() == 0) {
     error = "net requires a non-empty 'miners' array";
     return false;
   }
-  for (const Json& member : miners->items()) {
+  for (const util::Json& member : miners->items()) {
     if (!member.is_object()) {
       error = "each miner must be an object";
       return false;
@@ -363,7 +366,7 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
     miner.block_size = static_cast<chain::ByteSize>(block_size);
     config.miners.push_back(std::move(miner));
   }
-  if (const Json* topology = net.find("topology"); topology != nullptr) {
+  if (const util::Json* topology = net.find("topology"); topology != nullptr) {
     if (!topology->is_object()) {
       error = "field 'topology' must be an object";
       return false;
@@ -409,13 +412,13 @@ bool parse_net_config(const Json& net, sim::NetworkConfig& config,
       return false;
     }
   }
-  if (const Json* placements = net.find("miner_nodes");
+  if (const util::Json* placements = net.find("miner_nodes");
       placements != nullptr) {
     if (!placements->is_array()) {
       error = "field 'miner_nodes' must be an array";
       return false;
     }
-    for (const Json& node : placements->items()) {
+    for (const util::Json& node : placements->items()) {
       if (!node.is_number() || node.as_number() < 0.0 ||
           node.as_number() != std::floor(node.as_number())) {
         error = "miner_nodes entries must be non-negative integers";
@@ -528,7 +531,7 @@ bool JobSpec::validate_record(const robust::CheckpointRecord& record) const {
   return false;
 }
 
-std::unique_ptr<JobSpec> JobSpec::parse(const Json& body,
+std::unique_ptr<JobSpec> JobSpec::parse(const util::Json& body,
                                         const JobLimits& limits, int& status,
                                         std::string& error) {
   status = 400;
@@ -536,7 +539,7 @@ std::unique_ptr<JobSpec> JobSpec::parse(const Json& body,
     error = "job body must be a JSON object";
     return nullptr;
   }
-  const Json* kind_value = body.find("kind");
+  const util::Json* kind_value = body.find("kind");
   if (kind_value == nullptr || !kind_value->is_string()) {
     error = "job requires a string 'kind'";
     return nullptr;
@@ -560,7 +563,7 @@ std::unique_ptr<JobSpec> JobSpec::parse(const Json& body,
   // Per-request budget (admission control): absent fields inherit the
   // service-wide cap; present fields are clamped to it.
   spec->budget_.wall_clock_seconds = limits.max_wall_clock_seconds;
-  if (const Json* budget = body.find("budget"); budget != nullptr) {
+  if (const util::Json* budget = body.find("budget"); budget != nullptr) {
     if (!budget->is_object()) {
       error = "field 'budget' must be an object";
       return nullptr;
@@ -576,7 +579,7 @@ std::unique_ptr<JobSpec> JobSpec::parse(const Json& body,
     spec->budget_.wall_clock_seconds =
         std::min(wall, limits.max_wall_clock_seconds);
     double ticks = 0.0;
-    if (const Json* max_ticks = budget->find("max_ticks");
+    if (const util::Json* max_ticks = budget->find("max_ticks");
         max_ticks != nullptr) {
       if (!read_number(*budget, "max_ticks", ticks, error)) {
         return nullptr;
@@ -609,7 +612,7 @@ std::unique_ptr<JobSpec> JobSpec::parse(const Json& body,
       error = "net-sim jobs take a 'net' object, not 'cells'/'grid'";
       return nullptr;
     }
-    const Json* net = body.find("net");
+    const util::Json* net = body.find("net");
     if (net == nullptr) {
       error = "net-sim job requires a 'net' object";
       return nullptr;
@@ -657,8 +660,8 @@ std::unique_ptr<JobSpec> JobSpec::parse(const Json& body,
     return spec;
   }
 
-  const Json* cells = body.find("cells");
-  const Json* grid = body.find("grid");
+  const util::Json* cells = body.find("cells");
+  const util::Json* grid = body.find("grid");
   if ((cells == nullptr) == (grid == nullptr)) {
     error = "job requires exactly one of 'cells' or 'grid'";
     return nullptr;
@@ -683,7 +686,7 @@ std::unique_ptr<JobSpec> JobSpec::parse(const Json& body,
       error = "'cells' must be a non-empty array";
       return nullptr;
     }
-    for (const Json& cell : cells->items()) {
+    for (const util::Json& cell : cells->items()) {
       switch (spec->kind_) {
         case JobKind::kBuAttack: {
           bu::AttackParams params;

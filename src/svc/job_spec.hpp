@@ -35,7 +35,7 @@
 #include "robust/checkpoint.hpp"
 #include "robust/run_control.hpp"
 #include "sim/replicas.hpp"
-#include "svc/json.hpp"
+#include "util/json.hpp"
 
 namespace bvc::svc {
 
@@ -84,7 +84,7 @@ class JobSpec {
   /// Parses and validates a job document. On failure returns nullptr and
   /// fills `status` (400 unknown/malformed, 413 over the cell limit) and
   /// `error` with a client-readable message.
-  [[nodiscard]] static std::unique_ptr<JobSpec> parse(const Json& body,
+  [[nodiscard]] static std::unique_ptr<JobSpec> parse(const util::Json& body,
                                                       const JobLimits& limits,
                                                       int& status,
                                                       std::string& error);

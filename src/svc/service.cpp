@@ -17,7 +17,7 @@ namespace bvc::svc {
 
 namespace {
 
-HttpResponse json_response(int status, const Json& body) {
+HttpResponse json_response(int status, const util::Json& body) {
   HttpResponse response;
   response.status = status;
   response.body = body.dump();
@@ -26,7 +26,8 @@ HttpResponse json_response(int status, const Json& body) {
 
 HttpResponse error_response(int status, std::string message) {
   return json_response(
-      status, Json::object().set("error", Json::string(std::move(message))));
+      status, util::Json::object().set(
+                  "error", util::Json::string(std::move(message))));
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -38,22 +39,22 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// One finished cell as wire JSON. `values` is an array of [name, value]
 /// pairs, NOT an object: checkpoint records may repeat a name (the voting
 /// trace stores one "limit_per_epoch" entry per epoch) and order matters.
-Json record_json(const robust::CheckpointRecord& record) {
-  Json values = Json::array();
+util::Json record_json(const robust::CheckpointRecord& record) {
+  util::Json values = util::Json::array();
   for (const auto& [name, value] : record.values) {
-    Json pair = Json::array();
-    pair.push_back(Json::string(name));
-    pair.push_back(Json::number(value));
+    util::Json pair = util::Json::array();
+    pair.push_back(util::Json::string(name));
+    pair.push_back(util::Json::number(value));
     values.push_back(std::move(pair));
   }
-  Json out = Json::object();
-  out.set("key", Json::string(record.key));
-  out.set("status", Json::string(std::string(to_string(record.status))));
+  util::Json out = util::Json::object();
+  out.set("key", util::Json::string(record.key));
+  out.set("status", util::Json::string(std::string(to_string(record.status))));
   out.set("values", std::move(values));
   if (!record.policy.empty()) {
-    Json policy = Json::array();
+    util::Json policy = util::Json::array();
     for (const std::int32_t action : record.policy) {
-      policy.push_back(Json::number(static_cast<double>(action)));
+      policy.push_back(util::Json::number(static_cast<double>(action)));
     }
     out.set("policy", std::move(policy));
   }
@@ -221,7 +222,7 @@ HttpResponse SolveService::route(const HttpRequest& request) {
 }
 
 HttpResponse SolveService::submit(const HttpRequest& request) {
-  const std::optional<Json> body = Json::parse(request.body);
+  const std::optional<util::Json> body = util::Json::parse(request.body);
   if (!body) {
     return error_response(400, "request body is not valid JSON");
   }
@@ -265,29 +266,32 @@ HttpResponse SolveService::submit(const HttpRequest& request) {
                  {"kind", to_string(job->spec->kind())},
                  {"cells", job->spec->cells()}});
 
-  Json response = Json::object();
-  response.set("id", Json::string(job->id));
+  util::Json response = util::Json::object();
+  response.set("id", util::Json::string(job->id));
   response.set("kind",
-               Json::string(std::string(to_string(job->spec->kind()))));
+               util::Json::string(std::string(to_string(job->spec->kind()))));
   response.set("cells",
-               Json::number(static_cast<double>(job->spec->cells())));
+               util::Json::number(static_cast<double>(job->spec->cells())));
   return json_response(202, response);
 }
 
 HttpResponse SolveService::list_jobs() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  Json items = Json::array();
+  util::Json items = util::Json::array();
   for (const std::string& id : order_) {
     const Job& job = *jobs_.at(id);
-    Json entry = Json::object();
-    entry.set("id", Json::string(job.id));
-    entry.set("kind", Json::string(std::string(to_string(job.spec->kind()))));
-    entry.set("state", Json::string(std::string(to_string(job.state))));
-    entry.set("cells", Json::number(static_cast<double>(job.spec->cells())));
-    entry.set("completed", Json::number(static_cast<double>(job.completed)));
+    util::Json entry = util::Json::object();
+    entry.set("id", util::Json::string(job.id));
+    entry.set("kind",
+              util::Json::string(std::string(to_string(job.spec->kind()))));
+    entry.set("state", util::Json::string(std::string(to_string(job.state))));
+    entry.set("cells",
+              util::Json::number(static_cast<double>(job.spec->cells())));
+    entry.set("completed",
+              util::Json::number(static_cast<double>(job.completed)));
     items.push_back(std::move(entry));
   }
-  return json_response(200, Json::object().set("jobs", std::move(items)));
+  return json_response(200, util::Json::object().set("jobs", std::move(items)));
 }
 
 HttpResponse SolveService::job_status(const std::string& id,
@@ -309,15 +313,15 @@ HttpResponse SolveService::job_status(const std::string& id,
     return error_response(404, "no such job");
   }
   const Job& job = *it->second;
-  Json out = Json::object();
-  out.set("id", Json::string(job.id));
-  out.set("kind", Json::string(std::string(to_string(job.spec->kind()))));
-  out.set("state", Json::string(std::string(to_string(job.state))));
-  out.set("cells", Json::number(static_cast<double>(job.spec->cells())));
-  out.set("completed", Json::number(static_cast<double>(job.completed)));
-  out.set("resumed", Json::number(static_cast<double>(job.resumed)));
+  util::Json out = util::Json::object();
+  out.set("id", util::Json::string(job.id));
+  out.set("kind", util::Json::string(std::string(to_string(job.spec->kind()))));
+  out.set("state", util::Json::string(std::string(to_string(job.state))));
+  out.set("cells", util::Json::number(static_cast<double>(job.spec->cells())));
+  out.set("completed", util::Json::number(static_cast<double>(job.completed)));
+  out.set("resumed", util::Json::number(static_cast<double>(job.resumed)));
   if (!job.failure.empty()) {
-    out.set("failure", Json::string(job.failure));
+    out.set("failure", util::Json::string(job.failure));
   }
   if (job.state != JobState::kQueued) {
     // Live telemetry: progress rate and an ETA while the worker runs, the
@@ -331,28 +335,30 @@ HttpResponse SolveService::job_status(const std::string& id,
     const double solved =
         static_cast<double>(job.completed) - static_cast<double>(job.resumed);
     const double rate = elapsed > 0.0 ? solved / elapsed : 0.0;
-    Json telemetry = Json::object();
-    telemetry.set("elapsed_seconds", Json::number(elapsed));
-    telemetry.set("cells_per_second", Json::number(rate));
+    util::Json telemetry = util::Json::object();
+    telemetry.set("elapsed_seconds", util::Json::number(elapsed));
+    telemetry.set("cells_per_second", util::Json::number(rate));
     if (running && rate > 0.0) {
       const double remaining =
           static_cast<double>(job.spec->cells()) -
           static_cast<double>(job.completed);
-      telemetry.set("eta_seconds", Json::number(remaining / rate));
+      telemetry.set("eta_seconds", util::Json::number(remaining / rate));
     }
-    telemetry.set("worker_alive", Json::boolean(running));
+    telemetry.set("worker_alive", util::Json::boolean(running));
     const mdp::ModelCache::Stats cache = mdp::ModelCache::global().stats();
-    Json cache_json = Json::object();
-    cache_json.set("hits", Json::number(static_cast<double>(cache.hits)));
-    cache_json.set("misses", Json::number(static_cast<double>(cache.misses)));
+    util::Json cache_json = util::Json::object();
+    cache_json.set("hits", util::Json::number(static_cast<double>(cache.hits)));
+    cache_json.set("misses",
+                   util::Json::number(static_cast<double>(cache.misses)));
     cache_json.set("entries",
-                   Json::number(static_cast<double>(cache.entries)));
-    cache_json.set("bytes_resident",
-                   Json::number(static_cast<double>(cache.bytes_resident)));
+                   util::Json::number(static_cast<double>(cache.entries)));
+    cache_json.set(
+        "bytes_resident",
+        util::Json::number(static_cast<double>(cache.bytes_resident)));
     telemetry.set("cache", std::move(cache_json));
     out.set("telemetry", std::move(telemetry));
   }
-  Json records = Json::array();
+  util::Json records = util::Json::array();
   if (offset) {
     // Paginated: the slice of the append-only completion order starting at
     // *offset. Positions never shift, so a tailing client resumes exactly
@@ -366,9 +372,9 @@ HttpResponse SolveService::job_status(const std::string& id,
       records.push_back(record_json(job.records[job.completion_order[pos]]));
     }
     const std::size_t served = std::min(*offset, job.completion_order.size());
-    out.set("offset", Json::number(static_cast<double>(served)));
+    out.set("offset", util::Json::number(static_cast<double>(served)));
     out.set("next_offset",
-            Json::number(static_cast<double>(std::max(served, end))));
+            util::Json::number(static_cast<double>(std::max(served, end))));
   } else {
     // Unpaginated (legacy): every finished cell in input order — a poll
     // during the run sees a growing subset, i.e. streamed partials.
@@ -390,9 +396,9 @@ HttpResponse SolveService::cancel_job(const std::string& id) {
   }
   Job& job = *it->second;
   job.cancel.request_cancel();
-  Json out = Json::object();
-  out.set("id", Json::string(job.id));
-  out.set("state", Json::string(is_terminal(job.state)
+  util::Json out = util::Json::object();
+  out.set("id", util::Json::string(job.id));
+  out.set("state", util::Json::string(is_terminal(job.state)
                                     ? std::string(to_string(job.state))
                                     : "cancelling"));
   return json_response(202, out);
@@ -406,10 +412,10 @@ HttpResponse SolveService::healthz() {
       ++active;
     }
   }
-  Json out = Json::object();
-  out.set("status", Json::string("ok"));
-  out.set("jobs", Json::number(static_cast<double>(jobs_.size())));
-  out.set("active", Json::number(static_cast<double>(active)));
+  util::Json out = util::Json::object();
+  out.set("status", util::Json::string("ok"));
+  out.set("jobs", util::Json::number(static_cast<double>(jobs_.size())));
+  out.set("active", util::Json::number(static_cast<double>(active)));
   return json_response(200, out);
 }
 
@@ -432,18 +438,20 @@ HttpResponse SolveService::metrics(const std::string& query) {
 
 HttpResponse SolveService::cache_stats() {
   const mdp::ModelCache::Stats stats = mdp::ModelCache::global().stats();
-  Json out = Json::object();
-  out.set("hits", Json::number(static_cast<double>(stats.hits)));
-  out.set("misses", Json::number(static_cast<double>(stats.misses)));
-  out.set("entries", Json::number(static_cast<double>(stats.entries)));
+  util::Json out = util::Json::object();
+  out.set("hits", util::Json::number(static_cast<double>(stats.hits)));
+  out.set("misses", util::Json::number(static_cast<double>(stats.misses)));
+  out.set("entries", util::Json::number(static_cast<double>(stats.entries)));
   out.set("bytes_resident",
-          Json::number(static_cast<double>(stats.bytes_resident)));
-  out.set("evictions", Json::number(static_cast<double>(stats.evictions)));
+          util::Json::number(static_cast<double>(stats.bytes_resident)));
+  out.set("evictions",
+          util::Json::number(static_cast<double>(stats.evictions)));
   out.set("capacity_bytes",
-          Json::number(static_cast<double>(stats.capacity_bytes)));
-  out.set("disk_hits", Json::number(static_cast<double>(stats.disk_hits)));
+          util::Json::number(static_cast<double>(stats.capacity_bytes)));
+  out.set("disk_hits",
+          util::Json::number(static_cast<double>(stats.disk_hits)));
   out.set("disk_stores",
-          Json::number(static_cast<double>(stats.disk_stores)));
+          util::Json::number(static_cast<double>(stats.disk_stores)));
   return json_response(200, out);
 }
 
@@ -666,12 +674,12 @@ void SolveService::persist_index_locked() {
   for (const std::string& id : order_) {
     const Job& job = *jobs_.at(id);
     content += "{\"id\":";
-    append_json_escaped(content, job.id);
+    util::append_json_escaped(content, job.id);
     content += ",\"state\":";
-    append_json_escaped(content, to_string(job.state));
+    util::append_json_escaped(content, to_string(job.state));
     if (!job.failure.empty()) {
       content += ",\"failure\":";
-      append_json_escaped(content, job.failure);
+      util::append_json_escaped(content, job.failure);
     }
     // spec_body is the normalized dump() of the validated submit body:
     // single-line JSON, safe to embed verbatim.
@@ -708,13 +716,13 @@ void SolveService::restore_jobs() {
       if (line.empty()) {
         continue;
       }
-      const std::optional<Json> entry = Json::parse(line);
+      const std::optional<util::Json> entry = util::Json::parse(line);
       if (!entry || !entry->is_object()) {
         obs::log_warn("svc", "skipping malformed job index line", {});
         continue;
       }
       const std::string id = entry->string_or("id", "");
-      const Json* spec_body = entry->find("spec");
+      const util::Json* spec_body = entry->find("spec");
       if (id.empty() || spec_body == nullptr) {
         continue;
       }

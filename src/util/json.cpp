@@ -1,11 +1,12 @@
-#include "svc/json.hpp"
+#include "util/json.hpp"
 
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
-namespace bvc::svc {
+namespace bvc::util {
 
 namespace {
 
@@ -285,24 +286,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void append_number(std::string& out, double value) {
-  // Integral values (job counts, statuses, byte sizes) print as integers;
-  // everything else round-trips via %.17g, matching the checkpoint layer.
-  // Range check FIRST: casting a double outside long long range (or NaN,
-  // which fails the range comparisons) to long long is undefined behavior.
-  if (value >= -9.0e15 && value <= 9.0e15 &&
-      value == static_cast<double>(static_cast<long long>(value))) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-    out += buffer;
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
 void append_value(std::string& out, const Json& value) {
   switch (value.type()) {
     case Json::Type::kNull:
@@ -312,7 +295,7 @@ void append_value(std::string& out, const Json& value) {
       out += value.as_bool() ? "true" : "false";
       return;
     case Json::Type::kNumber:
-      append_number(out, value.as_number());
+      append_json_number(out, value.as_number());
       return;
     case Json::Type::kString:
       append_json_escaped(out, value.as_string());
@@ -366,6 +349,29 @@ void append_json_escaped(std::string& out, std::string_view text) {
   out += '"';
 }
 
+void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  char buffer[32];
+  const int length = std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  out.append(buffer, static_cast<std::size_t>(length));
+}
+
+std::optional<std::uint64_t> json_count(double value,
+                                        std::uint64_t max) noexcept {
+  // Below 2^64 keeps the cast defined; `max` is checked on the integer.
+  if (!(value >= 0.0) || value >= 0x1p64 || value != std::floor(value)) {
+    return std::nullopt;
+  }
+  const auto count = static_cast<std::uint64_t>(value);
+  if (count > max) {
+    return std::nullopt;
+  }
+  return count;
+}
+
 Json Json::boolean(bool value) {
   Json json;
   json.type_ = Type::kBool;
@@ -405,6 +411,18 @@ bool Json::as_bool(bool fallback) const noexcept {
 
 double Json::as_number(double fallback) const noexcept {
   return type_ == Type::kNumber ? number_ : fallback;
+}
+
+bool Json::number_or_null(double& out) const noexcept {
+  if (type_ == Type::kNull) {
+    out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
+  if (type_ != Type::kNumber) {
+    return false;
+  }
+  out = number_;
+  return true;
 }
 
 const std::string& Json::as_string() const noexcept {
@@ -454,4 +472,4 @@ std::optional<Json> Json::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-}  // namespace bvc::svc
+}  // namespace bvc::util

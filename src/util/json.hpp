@@ -1,28 +1,40 @@
-// Minimal JSON value + strict parser/writer for the bvcd wire format.
+// The project's one JSON reader and writer: a recursive value type with a
+// strict parser, plus the shared string escaper and number writer.
 //
-// The service speaks small request/response documents (job specs, status
-// snapshots, stats), so this is a self-contained recursive value type, not
-// a streaming parser: parse() either returns a fully validated document or
-// nullopt — a malformed body is rejected before any field is read, which
-// is exactly the 400-vs-crash line the HTTP layer needs. Writing is
-// deterministic (object member order preserved, doubles rendered %.17g
-// with integral values printed as integers), so responses diff cleanly in
-// tests and the smoke script.
+// Every JSON document the project reads goes through Json::parse: bvcd
+// request bodies, checkpoint journal lines (robust::parse_jsonl_line) and
+// per-process `*.metrics.json` files (obs::read_metrics_json). parse()
+// either returns a fully validated document or nullopt, so a malformed
+// input is rejected before any field is read. Every writer that builds its
+// text directly (journal lines, metrics files, event log, trace, manifest,
+// timeline) escapes strings with append_json_escaped, and the ones that
+// print full-precision doubles use append_json_number, so their output
+// always re-parses.
 //
-// Deliberately NOT general-purpose: no comments, no NaN/Inf literals
-// (JSON has none), UTF-8 passed through verbatim, \uXXXX escapes decoded
-// (surrogate pairs included), nesting capped at kMaxDepth so a hostile
-// body cannot blow the stack.
+// Writing is deterministic: object member order is preserved and finite
+// doubles print as %.17g (integral values therefore print as integers);
+// a non-finite double prints as `null`, since JSON has no NaN or Inf.
+//
+// Deliberately NOT general-purpose: no comments, no NaN/Inf literals,
+// UTF-8 passed through verbatim, \uXXXX escapes decoded (surrogate pairs
+// included), nesting capped at kMaxDepth so a hostile body cannot blow the
+// stack.
+//
+// Layering: this file depends on nothing but the standard library and is
+// built as its own library (bvc_json) below bvc_obs, so every layer can
+// use it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-namespace bvc::svc {
+namespace bvc::util {
 
 class Json {
  public:
@@ -57,6 +69,9 @@ class Json {
   [[nodiscard]] bool as_bool(bool fallback = false) const noexcept;
   [[nodiscard]] double as_number(double fallback = 0.0) const noexcept;
   [[nodiscard]] const std::string& as_string() const noexcept;
+  /// The read side of append_json_number: a number, or `null` read as NaN,
+  /// into `out`. False (and `out` untouched) for any other type.
+  [[nodiscard]] bool number_or_null(double& out) const noexcept;
 
   // Array access.
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
@@ -99,7 +114,20 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
-/// Appends `text` as a quoted JSON string (shared escaping rules).
+/// Appends `text` as a quoted JSON string: `"` and `\` are backslash-
+/// escaped, every other control character becomes \u00XX.
 void append_json_escaped(std::string& out, std::string_view text);
 
-}  // namespace bvc::svc
+/// Appends `value` as a JSON number: %.17g (round-trips every finite
+/// double bit for bit), or `null` when `value` is NaN or infinite.
+void append_json_number(std::string& out, double value);
+
+/// A number read back as a count: `value` as an integer in [0, max], or
+/// nullopt when it is NaN, negative, fractional or out of range. Readers
+/// of counts in files go through this instead of casting, since casting
+/// such a double to an integer is undefined.
+[[nodiscard]] std::optional<std::uint64_t> json_count(
+    double value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) noexcept;
+
+}  // namespace bvc::util

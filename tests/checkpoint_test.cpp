@@ -5,11 +5,14 @@
 // kill-and-resume script test (scripts/check_resume.sh).
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,9 +69,9 @@ TEST(CheckpointRecord, JsonlRoundTripIsExact) {
   record.status = RunStatus::kConverged;
   record.values.emplace_back("third", 1.0 / 3.0);
   record.values.emplace_back("neg", -0.0);
-  // Smallest-magnitude NORMAL doubles round-trip; subnormals are rejected
-  // by the strict parser (strtod underflow), which degrades to recompute.
+  // The smallest normal and the smallest subnormal double round-trip.
   record.values.emplace_back("tiny", 2.2250738585072014e-308);
+  record.values.emplace_back("subnormal", 4.9406564584124654e-324);
   record.values.emplace_back("big", 12345.678901234567);
   record.policy = {0, 1, 3, 2};
 
@@ -121,6 +124,52 @@ TEST(CheckpointRecord, ParseRejectsTornAndForeignLines) {
   ASSERT_NE(pos, std::string::npos);
   bad_status.replace(pos, 9, "exploded!");
   EXPECT_FALSE(robust::parse_jsonl_line(bad_status).has_value());
+  // Members beyond the schema, repeated or mistyped, are foreign too.
+  for (const char* foreign : {
+           R"({"key":"k","status":"converged","values":{},"extra":1})",
+           R"({"key":"k","key":"k","status":"converged","values":{}})",
+           R"({"key":1,"status":"converged","values":{}})",
+           R"({"key":"k","status":"converged","values":{"x":"1"}})",
+           R"({"key":"k","status":"converged","values":[]})",
+           R"({"key":"k","status":"converged","values":{},"policy":{}})",
+       }) {
+    EXPECT_FALSE(robust::parse_jsonl_line(foreign).has_value()) << foreign;
+  }
+}
+
+TEST(CheckpointRecord, PolicyEntriesMustBeInt32) {
+  const std::string prefix =
+      R"({"key":"k","status":"converged","values":{},"policy":[)";
+  const auto parse_policy = [&](const std::string& entries) {
+    return robust::parse_jsonl_line(prefix + entries + "]}");
+  };
+  const auto in_range = parse_policy("-2147483648,0,2147483647");
+  ASSERT_TRUE(in_range.has_value());
+  EXPECT_EQ(in_range->policy,
+            (std::vector<std::int32_t>{-2147483647 - 1, 0, 2147483647}));
+  // 2^32 must not wrap to action 0: a corrupt line never becomes a policy.
+  for (const char* bad :
+       {"4294967296", "2147483648", "-2147483649", "1.5", "null", "\"1\""}) {
+    EXPECT_FALSE(parse_policy(bad).has_value()) << bad;
+  }
+}
+
+TEST(CheckpointRecord, NonFiniteValuesJournalAsNullAndReadBackAsNaN) {
+  CheckpointRecord record = make_record("k", 1.0);
+  record.values.emplace_back("nan", std::numeric_limits<double>::quiet_NaN());
+  record.values.emplace_back("inf", std::numeric_limits<double>::infinity());
+  const std::string line = to_jsonl(record);
+  EXPECT_NE(line.find(R"("nan":null,"inf":null)"), std::string::npos) << line;
+  const auto parsed = robust::parse_jsonl_line(line);
+  ASSERT_TRUE(parsed.has_value()) << line;
+  ASSERT_EQ(parsed->values.size(), 3u);
+  EXPECT_EQ(parsed->values[0].second, 1.0);
+  EXPECT_TRUE(std::isnan(parsed->values[1].second));
+  EXPECT_TRUE(std::isnan(parsed->values[2].second));
+  // `nan` is not JSON and is not read.
+  EXPECT_FALSE(robust::parse_jsonl_line(
+                   R"({"key":"k","status":"converged","values":{"x":nan}})")
+                   .has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -701,7 +750,10 @@ TEST(DomainCheckpoint, AnalysisRecordRoundTrips) {
   ASSERT_TRUE(bu::analysis_restore(record, restored));
   EXPECT_EQ(restored.status, result.status);
   EXPECT_EQ(restored.iterations, result.iterations);
-  EXPECT_EQ(restored.wall_clock_ns, result.wall_clock_ns);
+  // A journal holds results, not measurements: no wall_clock_ns is written
+  // and a restored cell reports 0.
+  EXPECT_FALSE(record.has_value("wall_clock_ns"));
+  EXPECT_EQ(restored.wall_clock_ns, 0);
   EXPECT_EQ(restored.utility_value, result.utility_value);
   EXPECT_EQ(restored.honest_baseline, result.honest_baseline);
   EXPECT_TRUE(restored.attack_beats_honest);
@@ -742,7 +794,8 @@ TEST(DomainCheckpoint, SmRecordRoundTrips) {
   ASSERT_TRUE(btc::sm_restore(record, restored));
   EXPECT_EQ(restored.utility_value, result.utility_value);
   EXPECT_EQ(restored.iterations, result.iterations);
-  EXPECT_EQ(restored.wall_clock_ns, result.wall_clock_ns);
+  EXPECT_FALSE(record.has_value("wall_clock_ns"));
+  EXPECT_EQ(restored.wall_clock_ns, 0);
   EXPECT_EQ(restored.policy.action, result.policy.action);
 
   CheckpointRecord hollow;
@@ -771,6 +824,70 @@ TEST(DomainCheckpoint, VotingRecordRoundTripsEpochTrace) {
   EXPECT_EQ(restored.blocks, result.blocks);
   EXPECT_EQ(restored.limit_per_epoch, result.limit_per_epoch);  // in order
   EXPECT_EQ(restored.iterations, result.iterations);
+  EXPECT_FALSE(record.has_value("wall_clock_ns"));
+  EXPECT_EQ(restored.wall_clock_ns, 0);
+}
+
+TEST(DomainCheckpoint, JournalsWithMeasuredWallClockStillRestore) {
+  // Journals written before wall_clock_ns was dropped still carry it; the
+  // extra value is ignored, never read back as this run's timing.
+  const auto old_line = robust::parse_jsonl_line(
+      R"({"key":"cell","status":"converged","values":{"utility_value":0.25,)"
+      R"("iterations":9,"wall_clock_ns":41837295},"policy":[3,1,0]})");
+  ASSERT_TRUE(old_line.has_value());
+  btc::SmResult restored;
+  ASSERT_TRUE(btc::sm_restore(*old_line, restored));
+  EXPECT_EQ(restored.utility_value, 0.25);
+  EXPECT_EQ(restored.iterations, 9);
+  EXPECT_EQ(restored.wall_clock_ns, 0);
+}
+
+TEST(DomainCheckpoint, RestoresRejectCountsThatAreNotIntegersInRange) {
+  // A journaled count that is null (NaN), negative, fractional or too large
+  // for its field makes the line corrupt: restore returns false (the cell
+  // is recomputed) instead of casting it, which would be undefined.
+  for (const char* bad : {"null", "-1", "2.5", "1e300"}) {
+    const std::string sm_line =
+        std::string(R"({"key":"cell","status":"converged","values":{)") +
+        R"("utility_value":0.25,"iterations":)" + bad + "}}";
+    const auto sm = robust::parse_jsonl_line(sm_line);
+    ASSERT_TRUE(sm.has_value()) << sm_line;
+    btc::SmResult sm_result;
+    EXPECT_FALSE(btc::sm_restore(*sm, sm_result)) << sm_line;
+
+    const std::string bu_line =
+        std::string(R"({"key":"cell","status":"converged","values":{)") +
+        R"("utility_value":0.25,"honest_baseline":0.2,"iterations":)" + bad +
+        "}}";
+    const auto bu_record = robust::parse_jsonl_line(bu_line);
+    ASSERT_TRUE(bu_record.has_value()) << bu_line;
+    bu::AnalysisResult bu_result;
+    EXPECT_FALSE(bu::analysis_restore(*bu_record, bu_result)) << bu_line;
+
+    for (const char* field : {"blocks", "increases", "limit_per_epoch"}) {
+      std::string voting_line =
+          R"({"key":"cell","status":"converged","values":{)";
+      for (const char* name : {"final_limit", "blocks", "increases",
+                               "limit_per_epoch"}) {
+        voting_line += std::string("\"") + name + "\":" +
+                       (std::string(name) == field ? bad : "6048") + ",";
+      }
+      voting_line.back() = '}';
+      voting_line += "}";
+      const auto voting = robust::parse_jsonl_line(voting_line);
+      ASSERT_TRUE(voting.has_value()) << voting_line;
+      counter::VotingSimResult voting_result;
+      EXPECT_FALSE(counter::voting_restore(*voting, voting_result))
+          << voting_line;
+    }
+  }
+  // iterations is an int: 2^31 is out of range even though it is a count.
+  const auto wide = robust::parse_jsonl_line(
+      R"({"key":"cell","status":"converged","values":{"utility_value":0.25,)"
+      R"("iterations":2147483648}})");
+  ASSERT_TRUE(wide.has_value());
+  btc::SmResult sm_result;
+  EXPECT_FALSE(btc::sm_restore(*wide, sm_result));
 }
 
 TEST(DomainCheckpoint, JobKeysSeparateDistinctCells) {

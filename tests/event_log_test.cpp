@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "obs/event_log.hpp"
-#include "svc/json.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -98,14 +98,14 @@ TEST(EventLog, JsonlRecordsParseAndCarryTypedFields) {
 
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  const std::optional<svc::Json> record = svc::Json::parse(lines[0]);
+  const std::optional<util::Json> record = util::Json::parse(lines[0]);
   ASSERT_TRUE(record.has_value());
   ASSERT_TRUE(record->is_object());
   EXPECT_EQ(record->string_or("level", ""), "warn");
   EXPECT_EQ(record->string_or("subsystem", ""), "shape");
   EXPECT_EQ(record->string_or("msg", ""), "all field kinds");
   EXPECT_GT(record->number_or("ts_ms", 0.0), 0.0);
-  const svc::Json* fields = record->find("fields");
+  const util::Json* fields = record->find("fields");
   ASSERT_NE(fields, nullptr);
   EXPECT_EQ(fields->string_or("text", ""), "va\"lue");
   EXPECT_EQ(fields->number_or("ratio", 0.0), 0.25);
@@ -126,7 +126,7 @@ TEST(EventLog, NonFiniteDoubleFieldsStayValidJson) {
   ASSERT_TRUE(obs::EventLog::global().configure({}));
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
-  EXPECT_TRUE(svc::Json::parse(lines[0]).has_value()) << lines[0];
+  EXPECT_TRUE(util::Json::parse(lines[0]).has_value()) << lines[0];
   std::filesystem::remove(path);
 }
 
@@ -178,7 +178,7 @@ TEST(EventLog, ConcurrentWritersNeverCorruptTheSink) {
   ASSERT_EQ(lines.size(),
             static_cast<std::size_t>(kThreads) * kPerThread);
   for (const std::string& line : lines) {
-    ASSERT_TRUE(svc::Json::parse(line).has_value()) << line;
+    ASSERT_TRUE(util::Json::parse(line).has_value()) << line;
   }
   std::filesystem::remove(path);
 }

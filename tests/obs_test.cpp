@@ -11,6 +11,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -208,6 +211,41 @@ TEST(Trace, SpansAndInstantsExportAsChromeTraceEvents) {
 
   tracer.reset();
   EXPECT_EQ(tracer.recorded_events(), 0u);
+}
+
+TEST(Trace, NonFiniteArgsExportAsNull) {
+  ObsQuiescer quiesce;
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.reset();
+  tracer.enable();
+  {
+    // e.g. bracket_width when the Odoni bracket is not finite.
+    obs::Span span("obs_test.nonfinite", "test");
+    span.arg("bracket_width", std::numeric_limits<double>::infinity());
+    span.arg("gap", std::numeric_limits<double>::quiet_NaN());
+    span.arg("rho", 0.25);
+  }
+  obs::trace_instant("obs_test.instant", "test", "floor",
+                     -std::numeric_limits<double>::infinity());
+  tracer.disable();
+
+  std::ostringstream jsonl;
+  tracer.write_jsonl(jsonl);
+  std::istringstream lines(jsonl.str());
+  std::string line;
+  int parsed = 0;
+  while (std::getline(lines, line)) {
+    const std::optional<util::Json> event = util::Json::parse(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    const util::Json* args = event->find("args");
+    ASSERT_NE(args, nullptr) << line;
+    for (const auto& [key, value] : args->members()) {
+      EXPECT_EQ(value.is_null(), key != "rho") << line;
+    }
+    ++parsed;
+  }
+  EXPECT_EQ(parsed, 2);
+  tracer.reset();
 }
 
 TEST(Trace, EachThreadRecordsIntoItsOwnRing) {

@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -119,6 +121,35 @@ TEST(SimReplicas, RecordRoundTripsThroughJournal) {
   foreign.values.clear();
   NetworkResult untouched;
   EXPECT_FALSE(sim_restore(foreign, untouched));
+
+  // A miner count the record cannot back is rejected before anything is
+  // allocated for it (1e18 must not reach the three resize() calls).
+  for (const double bad :
+       {1e18, -1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    robust::CheckpointRecord corrupt = record;
+    for (auto& [name, value] : corrupt.values) {
+      if (name == "miners") value = bad;
+    }
+    EXPECT_FALSE(sim_restore(corrupt, untouched)) << "miners=" << bad;
+  }
+
+  // Every other count is range-checked too: a journaled null (NaN), a
+  // negative value or one at 2^64 is a corrupt line, not a cast.
+  for (const char* field : {"blocks_mined", "relayed_messages", "mined.0"}) {
+    ASSERT_TRUE(record.has_value(field)) << field;
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                             0x1p64, 2.5}) {
+      robust::CheckpointRecord corrupt = record;
+      for (auto& [name, value] : corrupt.values) {
+        if (name == field) value = bad;
+      }
+      const std::string line = robust::to_jsonl(corrupt);
+      const std::optional<robust::CheckpointRecord> read =
+          robust::parse_jsonl_line(line);
+      ASSERT_TRUE(read.has_value()) << line;
+      EXPECT_FALSE(sim_restore(*read, untouched)) << line;
+    }
+  }
 }
 
 TEST(SimReplicas, ResumeFromJournalMatchesFreshRun) {

@@ -27,7 +27,7 @@
 #include "obs/metrics.hpp"
 #include "sim/replicas.hpp"
 #include "svc/http.hpp"
-#include "svc/json.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -35,7 +35,7 @@ namespace {
 using namespace bvc;
 using svc::HttpRequest;
 using svc::HttpResponse;
-using svc::Json;
+using util::Json;
 using svc::ServiceConfig;
 using svc::SolveService;
 
@@ -285,8 +285,8 @@ TEST(SvcServicePersistence, RestartServesTerminalJobsAndKeepsIdSequence) {
     EXPECT_EQ(snapshot.string_or("state", ""), "done");
     EXPECT_EQ(snapshot.number_or("resumed", 0), 2.0);
 
-    // Records restore byte-identically from the journal (wall_clock_ns
-    // included — it is the original run's, replayed not re-measured).
+    // Records restore byte-identically from the journal, which holds
+    // results only (no measured wall_clock_ns to differ).
     Json before = Json::parse(first_body).value();
     const std::string before_records = before.find("records")->dump();
     const std::string after_records = snapshot.find("records")->dump();

@@ -1,5 +1,5 @@
 // Tests of cross-process telemetry aggregation (src/obs/telemetry.cpp):
-// metrics-JSON roundtrip through the self-contained reader, the merge
+// metrics-JSON roundtrip through the util::Json-based reader, the merge
 // rules (counters sum, gauges max, histograms bucket-sum on matching
 // bounds), the TelemetryFlusher's on-disk files, and the merged Chrome
 // trace with one pid lane per worker.
@@ -7,7 +7,9 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,7 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "svc/json.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -84,6 +86,47 @@ TEST(Telemetry, ReaderRejectsGarbage) {
   EXPECT_FALSE(obs::read_metrics_json(file.string()).has_value());
   EXPECT_FALSE(obs::read_metrics_json((dir.path / "nope.json").string())
                    .has_value());
+}
+
+TEST(Telemetry, ReaderRejectsCountsThatAreNotNonNegativeIntegers) {
+  TempDir dir("counts");
+  const std::filesystem::path file = dir.path / "w.1.metrics.json";
+  const auto read = [&](const std::string& text) {
+    write_file(file, text);
+    return obs::read_metrics_json(file.string());
+  };
+  ASSERT_TRUE(read(R"({"counters":{"x":18446744073709549568}})"));
+  // Casting any of these to uint64 would be undefined behaviour.
+  for (const char* bad : {"-1", "1.5", "null", "18446744073709551616"}) {
+    EXPECT_FALSE(read(std::string(R"({"counters":{"x":)") + bad + "}}"))
+        << "counter " << bad;
+    EXPECT_FALSE(read(std::string(R"({"histograms":{"h":{"bounds":[1],)") +
+                      R"("counts":[0,)" + bad + R"(],"sum":0,"count":0}}})"))
+        << "bucket count " << bad;
+    EXPECT_FALSE(read(std::string(R"({"histograms":{"h":{"bounds":[1],)") +
+                      R"("counts":[0,0],"sum":0,"count":)" + bad + "}}}"))
+        << "histogram count " << bad;
+  }
+  // One count per finite bucket plus the overflow bucket.
+  EXPECT_FALSE(read(
+      R"({"histograms":{"h":{"bounds":[1,2],"counts":[0,0],"sum":0,"count":0}}})"));
+}
+
+TEST(Telemetry, NonFiniteGaugesWriteNullAndReadBackAsNaN) {
+  TempDir dir("nonfinite");
+  obs::MetricsSnapshot snapshot;
+  snapshot.gauges["g.nan"] = std::numeric_limits<double>::quiet_NaN();
+  snapshot.gauges["g.inf"] = std::numeric_limits<double>::infinity();
+  std::ostringstream text;
+  obs::write_metrics_json(text, snapshot);
+  EXPECT_TRUE(util::Json::parse(text.str()).has_value()) << text.str();
+  const std::filesystem::path file = dir.path / "w.1.metrics.json";
+  write_file(file, text.str());
+  const std::optional<obs::MetricsSnapshot> read =
+      obs::read_metrics_json(file.string());
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(std::isnan(read->gauges.at("g.nan")));
+  EXPECT_TRUE(std::isnan(read->gauges.at("g.inf")));
 }
 
 TEST(Telemetry, MergeSumsCountersMaxesGaugesSumsMatchingHistograms) {
@@ -178,15 +221,15 @@ TEST(Telemetry, MergedChromeTraceHasOnePidLanePerWorker) {
   std::ostringstream out;
   ASSERT_TRUE(obs::write_merged_chrome_trace(out, dir.str(), nullptr, ""));
   const std::string text = out.str();
-  const std::optional<svc::Json> parsed = svc::Json::parse(text);
+  const std::optional<util::Json> parsed = util::Json::parse(text);
   ASSERT_TRUE(parsed.has_value()) << text;
-  const svc::Json* events = parsed->find("traceEvents");
+  const util::Json* events = parsed->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
 
   int process_names = 0;
   int worker_events = 0;
-  for (const svc::Json& event : events->items()) {
+  for (const util::Json& event : events->items()) {
     const std::string name = event.string_or("name", "");
     if (name == "process_name") {
       ++process_names;

@@ -1,15 +1,19 @@
-// The service wire format: strict parsing, deterministic writing, and the
-// malformed-input rejections the HTTP 400 path depends on.
-#include "svc/json.hpp"
+// util::Json, the one JSON reader and writer: strict parsing,
+// deterministic writing, and the malformed-input rejections the HTTP 400
+// path, the journal loader and the metrics merge depend on. The suite
+// keeps the SvcJson name it had when the class lived in svc.
+#include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
 namespace {
 
-using bvc::svc::Json;
+using bvc::util::Json;
 
 std::string reparse_dump(const std::string& text) {
   const std::optional<Json> value = Json::parse(text);
@@ -69,10 +73,59 @@ TEST(SvcJson, HugeNumbersDumpWithoutIntegerNarrowing) {
                    1e300);
   EXPECT_DOUBLE_EQ(Json::parse(Json::number(-1e300).dump())->as_number(),
                    -1e300);
-  // NaN fails every range comparison; dumping must not crash or cast.
-  const std::string nan_dump =
-      Json::number(std::numeric_limits<double>::quiet_NaN()).dump();
-  EXPECT_FALSE(nan_dump.empty());
+  // Non-finite numbers have no JSON spelling: they dump as null, so every
+  // dump re-parses.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::string dumped = Json::number(bad).dump();
+    EXPECT_EQ(dumped, "null");
+    const std::optional<Json> back = Json::parse(dumped);
+    ASSERT_TRUE(back.has_value()) << dumped;
+    EXPECT_TRUE(back->is_null());
+  }
+  Json object = Json::object();
+  object.set("x", Json::number(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_TRUE(Json::parse(object.dump()).has_value()) << object.dump();
+}
+
+TEST(SvcJson, NumberWriterIsPercent17gForFiniteValues) {
+  std::string out;
+  bvc::util::append_json_number(out, 9e15);
+  EXPECT_EQ(out, "9000000000000000");
+  out.clear();
+  bvc::util::append_json_number(out, 0.1);
+  EXPECT_EQ(out, "0.10000000000000001");
+  out.clear();
+  bvc::util::append_json_number(out, -0.0);
+  EXPECT_EQ(out, "-0");
+}
+
+TEST(SvcJson, NumberOrNullIsTheReadSideOfTheNumberWriter) {
+  double out = 1.0;
+  ASSERT_TRUE(Json::number(0.25).number_or_null(out));
+  EXPECT_EQ(out, 0.25);
+  ASSERT_TRUE(Json().number_or_null(out));
+  EXPECT_TRUE(std::isnan(out));
+  out = 1.0;
+  EXPECT_FALSE(Json::string("nan").number_or_null(out));
+  EXPECT_FALSE(Json::boolean(true).number_or_null(out));
+  EXPECT_EQ(out, 1.0);  // untouched on a type mismatch
+}
+
+TEST(SvcJson, CountsAreNonNegativeIntegersInRange) {
+  EXPECT_EQ(bvc::util::json_count(0.0), 0u);
+  EXPECT_EQ(bvc::util::json_count(9e15), 9'000'000'000'000'000u);
+  EXPECT_EQ(bvc::util::json_count(0x1p63), std::uint64_t{1} << 63);
+  EXPECT_FALSE(bvc::util::json_count(0x1p64).has_value());
+  EXPECT_FALSE(bvc::util::json_count(-1.0).has_value());
+  EXPECT_FALSE(bvc::util::json_count(2.5).has_value());
+  EXPECT_FALSE(bvc::util::json_count(std::numeric_limits<double>::quiet_NaN())
+                   .has_value());
+  EXPECT_FALSE(bvc::util::json_count(std::numeric_limits<double>::infinity())
+                   .has_value());
+  EXPECT_EQ(bvc::util::json_count(2147483647.0, 2147483647u), 2147483647u);
+  EXPECT_FALSE(bvc::util::json_count(2147483648.0, 2147483647u).has_value());
 }
 
 TEST(SvcJson, StringEscapesRoundTrip) {
